@@ -119,7 +119,7 @@ int main(int Argc, char **Argv) {
 
   // 5. Per-level measurements come for free.
   Rt.drain();
-  auto S = Rt.levelStats(Interactive::Level).Response.summary();
+  auto S = Rt.latency(Interactive::Level, LatencyKind::Response).summary();
   std::printf("5. %zu Interactive tasks, mean response %.1f us\n", S.Count,
               S.Mean);
 

@@ -56,10 +56,11 @@ inline AppReport collectReport(icilk::Runtime &Rt,
   Report.LevelNames = std::move(LevelNames);
   Report.WallMillis = WallMillis;
   for (unsigned L = 0; L < Rt.config().NumLevels; ++L) {
-    auto &S = Rt.levelStats(L);
-    Report.Response.push_back(S.Response.summary());
-    Report.Compute.push_back(S.Compute.summary());
-    Report.QueueWait.push_back(S.QueueWait.summary());
+    using icilk::LatencyKind;
+    Report.Response.push_back(Rt.latency(L, LatencyKind::Response).summary());
+    Report.Compute.push_back(Rt.latency(L, LatencyKind::Compute).summary());
+    Report.QueueWait.push_back(
+        Rt.latency(L, LatencyKind::QueueWait).summary());
   }
   double BusyMicros =
       static_cast<double>(Rt.snapshot().TotalWorkNanos) / 1000.0;

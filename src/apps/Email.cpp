@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <mutex>
 
 namespace repro::apps {
 
@@ -55,12 +56,20 @@ struct EmailServer {
           Rt, Config.Admission.Config, &Io);
   }
 
+  /// Records one request's arrival → final reply time.
+  void noteEndToEnd(uint64_t ArrivalMicros) {
+    double Micros = static_cast<double>(repro::nowMicros() - ArrivalMicros);
+    std::lock_guard<std::mutex> Lock(EndToEndMutex);
+    EndToEnd.record(Micros);
+  }
+
   const EmailConfig &Config;
   icilk::Runtime Rt;
   icilk::SimIo Io{"email.io"};
   std::shared_ptr<icilk::FaultPlan> Faults;
   std::vector<Mailbox> Boxes;
-  repro::LatencyRecorder EndToEnd;
+  std::mutex EndToEndMutex; ///< guards EndToEnd
+  repro::LatencyHistogram EndToEnd;
   std::atomic<uint64_t> Sends{0}, Sorts{0}, Prints{0}, Compressions{0};
   std::atomic<uint64_t> SlotConflicts{0}, BytesSaved{0}, Requests{0};
   std::atomic<uint64_t> SendFailures{0}, PrintFailures{0}, Retries{0};
@@ -166,7 +175,7 @@ void sendEmail(EmailServer &S, Context<EmailSend> &Ctx, Mailbox &Box,
     }
   }
   repro::spinFor(60); // envelope bookkeeping
-  S.EndToEnd.record(static_cast<double>(repro::nowMicros() - ArrivalMicros));
+  S.noteEndToEnd(ArrivalMicros);
 }
 
 /// Sort (EmailSort): rebuilds the mailbox index ordered by size.
@@ -185,7 +194,7 @@ void sortMailbox(EmailServer &S, Context<EmailSort> &, Mailbox &Box,
   }
   Box.SortEpoch.fetch_add(1, std::memory_order_release);
   S.Sorts.fetch_add(1, std::memory_order_relaxed);
-  S.EndToEnd.record(static_cast<double>(repro::nowMicros() - ArrivalMicros));
+  S.noteEndToEnd(ArrivalMicros);
 }
 
 /// Background check (EmailCheck): periodically fires compression of the
@@ -246,8 +255,7 @@ void handleRequest(EmailServer &S, Context<Prio> &Ctx, std::size_t User,
         S.Rt, [&S, &E, ArrivalMicros](Context<EmailWork> &C,
                                       const icilk::Future<EmailWork, int> &Self) {
           int State = printEmail(S, C, E, Self);
-          S.EndToEnd.record(
-              static_cast<double>(repro::nowMicros() - ArrivalMicros));
+          S.noteEndToEnd(ArrivalMicros);
           return State;
         });
     break;
@@ -338,7 +346,10 @@ EmailReport runEmail(const EmailConfig &Config) {
   EmailReport Report;
   Report.App = collectReport(
       S.Rt, {"main", "check", "work", "sort", "send", "loop"}, WallMillis);
-  Report.App.EndToEnd = S.EndToEnd.summary();
+  {
+    std::lock_guard<std::mutex> Lock(S.EndToEndMutex);
+    Report.App.EndToEnd = S.EndToEnd.summary();
+  }
   Report.App.Requests = S.Requests.load();
   Report.Sends = S.Sends.load();
   Report.Sorts = S.Sorts.load();

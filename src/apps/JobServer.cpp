@@ -7,6 +7,7 @@
 #include "support/Timer.h"
 
 #include <atomic>
+#include <mutex>
 
 namespace repro::apps {
 
@@ -70,8 +71,9 @@ struct JobServerEngine::Impl {
   std::array<std::atomic<uint64_t>, 4> Counts{};
   std::array<std::atomic<uint64_t>, 4> Shed{};
   std::array<std::atomic<uint64_t>, 4> Degraded{};
-  std::array<repro::LatencyRecorder, 4> JobResponse;
-  std::array<repro::LatencyRecorder, 4> JobCompute;
+  std::mutex JobLatencyMutex; ///< guards JobResponse and JobCompute
+  std::array<repro::LatencyHistogram, 4> JobResponse;
+  std::array<repro::LatencyHistogram, 4> JobCompute;
   /// Seeds for per-job RNGs: drawn on the offering thread so a submit
   /// callback deferred to the controller thread needs no shared Rng.
   std::atomic<uint64_t> SeedTick{0};
@@ -96,6 +98,7 @@ struct JobServerEngine::Impl {
                  uint64_t StartMicros) {
     uint64_t Now = repro::nowMicros();
     Counts[Type].fetch_add(1, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> Lock(JobLatencyMutex);
     JobResponse[Type].record(static_cast<double>(Now - ArrivalMicros));
     JobCompute[Type].record(static_cast<double>(Now - StartMicros));
   }
@@ -297,8 +300,11 @@ JobServerReport JobServerEngine::report(double WallMillis) {
     Report.JobsByType[I] = P->Counts[I].load();
     Report.JobsShed[I] = P->Shed[I].load();
     Report.JobsDegraded[I] = P->Degraded[I].load();
-    Report.JobResponse[I] = P->JobResponse[I].summary();
-    Report.JobCompute[I] = P->JobCompute[I].summary();
+    {
+      std::lock_guard<std::mutex> Lock(P->JobLatencyMutex);
+      Report.JobResponse[I] = P->JobResponse[I].summary();
+      Report.JobCompute[I] = P->JobCompute[I].summary();
+    }
     Total += Report.JobsByType[I];
   }
   Report.App.Requests = Total;

@@ -8,6 +8,7 @@
 #include "support/Timer.h"
 
 #include <atomic>
+#include <mutex>
 
 namespace repro::apps {
 
@@ -32,12 +33,20 @@ struct ProxyServer {
           Rt, Config.Admission.Config, &Io);
   }
 
+  /// Records one request's arrival → final reply time.
+  void noteEndToEnd(uint64_t ArrivalMicros) {
+    double Micros = static_cast<double>(repro::nowMicros() - ArrivalMicros);
+    std::lock_guard<std::mutex> Lock(EndToEndMutex);
+    EndToEnd.record(Micros);
+  }
+
   const ProxyConfig &Config;
   icilk::Runtime Rt;
   icilk::SimIo Io{"proxy.io"};
   std::shared_ptr<icilk::FaultPlan> Faults;
   conc::ConcurrentHashMap<std::size_t, std::string> Cache;
-  repro::LatencyRecorder EndToEnd;
+  std::mutex EndToEndMutex; ///< guards EndToEnd
+  repro::LatencyHistogram EndToEnd;
   std::atomic<uint64_t> Hits{0}, Misses{0}, Requests{0};
   std::atomic<uint64_t> Retries{0}, Failed{0};
   std::atomic<uint64_t> DeadlineAbandoned{0};
@@ -116,7 +125,7 @@ void fetchAndReply(ProxyServer &S, Context<ProxyFetch> &Ctx, std::size_t Url,
                            DeadlineMicros);
   if (!Bytes) {
     S.Failed.fetch_add(1, std::memory_order_relaxed);
-    S.EndToEnd.record(static_cast<double>(repro::nowMicros() - ArrivalMicros));
+    S.noteEndToEnd(ArrivalMicros);
     return;
   }
   repro::spinFor(S.Config.RenderComputeMicros); // parse/render the page
@@ -127,7 +136,7 @@ void fetchAndReply(ProxyServer &S, Context<ProxyFetch> &Ctx, std::size_t Url,
                    ArrivalMicros ^ (Url + 1), DeadlineMicros,
                    /*IsWrite=*/true))
     S.Failed.fetch_add(1, std::memory_order_relaxed);
-  S.EndToEnd.record(static_cast<double>(repro::nowMicros() - ArrivalMicros));
+  S.noteEndToEnd(ArrivalMicros);
 }
 
 /// Event loop component: one task per incoming request. Normally runs at
@@ -147,7 +156,7 @@ void handleRequest(ProxyServer &S, Context<Prio> &Ctx, std::size_t Url,
                      ArrivalMicros ^ (Url + 2), DeadlineMicros,
                      /*IsWrite=*/true))
       S.Failed.fetch_add(1, std::memory_order_relaxed);
-    S.EndToEnd.record(static_cast<double>(repro::nowMicros() - ArrivalMicros));
+    S.noteEndToEnd(ArrivalMicros);
     return;
   }
   S.Misses.fetch_add(1, std::memory_order_relaxed);
@@ -257,7 +266,10 @@ ProxyReport runProxy(const ProxyConfig &Config) {
   ProxyReport Report;
   Report.App = collectReport(S.Rt, {"main", "stats", "fetch", "client"},
                              WallMillis);
-  Report.App.EndToEnd = S.EndToEnd.summary();
+  {
+    std::lock_guard<std::mutex> Lock(S.EndToEndMutex);
+    Report.App.EndToEnd = S.EndToEnd.summary();
+  }
   Report.App.Requests = S.Requests.load();
   Report.CacheHits = S.Hits.load();
   Report.CacheMisses = S.Misses.load();

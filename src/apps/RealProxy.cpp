@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <mutex>
@@ -69,6 +70,16 @@ struct ParsedRequest {
   std::string RequestId;      ///< client X-Request-Id header, verbatim
 };
 
+/// The client's X-Request-Id is echoed into the reply and forwarded to the
+/// origin verbatim, so only short printable-ASCII ids are kept: a bare LF
+/// in one would start a new header line at a parser that splits on LF.
+bool validRequestId(const std::string &Id) {
+  constexpr std::size_t MaxRequestIdBytes = 128;
+  return Id.size() <= MaxRequestIdBytes &&
+         std::all_of(Id.begin(), Id.end(),
+                     [](char C) { return C >= 0x20 && C <= 0x7e; });
+}
+
 /// Parses the first complete request-header block in \p Buf (the caller
 /// has already verified "\r\n\r\n" is present). nullopt = malformed.
 std::optional<ParsedRequest> parseRequest(const std::string &Buf) {
@@ -120,6 +131,8 @@ std::optional<ParsedRequest> parseRequest(const std::string &Buf) {
         R.Traceparent = Trimmed();
       } else if (Key == "x-request-id") {
         R.RequestId = Trimmed();
+        if (!validRequestId(R.RequestId))
+          R.RequestId.clear(); // treated as absent: a fresh id is minted
       }
     }
     Pos = Next + 2;

@@ -15,9 +15,9 @@
 //
 //  * acquire/release go through a small per-worker cache first — no
 //    synchronization at all on the common same-worker churn path;
-//  * a Treiber-stack global overflow handles cross-worker frees (a task
-//    can finish on a different worker than it started on) and refills
-//    caches that run dry;
+//  * a mutex-guarded global list handles cross-worker frees (a task can
+//    finish on a different worker than it started on) and refills caches
+//    that run dry — the cold path, and its memory is the stacks alone;
 //  * under AddressSanitizer the free-listed bytes are poisoned, so a
 //    dangling fiber pointer into a recycled stack trips ASan instead of
 //    silently reading a stranger's frames.
@@ -31,11 +31,10 @@
 #ifndef REPRO_CONC_STACKPOOL_H
 #define REPRO_CONC_STACKPOOL_H
 
-#include "conc/TreiberStack.h"
-
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -70,8 +69,7 @@ public:
       : Bytes(StackBytes), LocalCap(LocalCapacity) {}
 
   ~StackPool() {
-    char *S = nullptr;
-    while (Free.tryPop(S)) {
+    for (char *S : Free) {
       unpoison(S);
       delete[] S;
     }
@@ -93,8 +91,7 @@ public:
       unpoison(S);
       return S;
     }
-    char *S = nullptr;
-    if (Free.tryPop(S)) {
+    if (char *S = popFree()) {
       Reused.fetch_add(1, std::memory_order_relaxed);
       unpoison(S);
       return S;
@@ -111,7 +108,8 @@ public:
       Local->Stacks.push_back(Stack);
       return;
     }
-    Free.push(Stack);
+    std::lock_guard<std::mutex> Lock(FreeMutex);
+    Free.push_back(Stack);
   }
 
   /// Cross-thread free with no cache at hand (task teardown outside any
@@ -120,8 +118,9 @@ public:
 
   /// Moves a dying thread's cached stacks to the global list.
   void drainLocal(LocalCache &Local) {
-    for (char *S : Local.Stacks)
-      Free.push(S); // already poisoned by release()
+    std::lock_guard<std::mutex> Lock(FreeMutex);
+    // Already poisoned by release().
+    Free.insert(Free.end(), Local.Stacks.begin(), Local.Stacks.end());
     Local.Stacks.clear();
   }
 
@@ -130,6 +129,15 @@ public:
   uint64_t reused() const { return Reused.load(std::memory_order_relaxed); }
 
 private:
+  char *popFree() {
+    std::lock_guard<std::mutex> Lock(FreeMutex);
+    if (Free.empty())
+      return nullptr;
+    char *S = Free.back();
+    Free.pop_back();
+    return S;
+  }
+
   void poison(char *S) {
 #if REPRO_STACKPOOL_ASAN
     ASAN_POISON_MEMORY_REGION(S, Bytes);
@@ -147,7 +155,8 @@ private:
 
   const std::size_t Bytes;
   const std::size_t LocalCap;
-  TreiberStack<char *> Free;
+  std::mutex FreeMutex;
+  std::vector<char *> Free; ///< guarded by FreeMutex
   std::atomic<uint64_t> Created{0};
   std::atomic<uint64_t> Reused{0};
 };

@@ -26,12 +26,11 @@ AdmissionController::AdmissionController(Runtime &Rt, AdmissionConfig Cfg,
     L.RatePerSec = Config.InitialRatePerSec;
     L.Tokens = Config.BurstTokens;
   }
-  Harvested.assign(NumLevels, 0);
   WindowP99.assign(NumLevels, 0.0);
+  WindowCount.assign(NumLevels, 0);
   for (unsigned L = 0; L < NumLevels; ++L)
-    Windows.push_back(std::make_unique<repro::WindowedHistogram>(
-        0.0, Config.LatencyHiMicros, Config.LatencyBuckets,
-        std::max(1u, Config.WindowEpochs)));
+    Windows.push_back(std::make_unique<repro::LatencyWindows>(
+        Config.WindowEpochs, Rt.latency(L, LatencyKind::Response)));
   LastRefillMicros = repro::nowMicros();
   LastRotateMicros = LastRefillMicros;
   LastInjectionSpins = Rt.snapshot().InjectionFullSpins;
@@ -269,34 +268,31 @@ AdmissionController::drainLocked(uint64_t NowMicros) {
         continue;
       }
       ++L.Admitted;
+      QueueDelay.record(static_cast<double>(NowMicros - E.EnqueuedMicros));
       Out.push_back(std::move(E));
     }
   }
   return Out;
 }
 
-void AdmissionController::harvestWindows() {
+void AdmissionController::readWindows() {
   uint64_t Now = repro::nowMicros();
   const uint64_t EpochMicros = Config.EpochMillis * 1000;
+  uint64_t Passed = (Now - LastRotateMicros) / EpochMicros;
+  LastRotateMicros += Passed * EpochMicros;
   std::vector<double> P99(Levels.size(), 0.0);
+  std::vector<uint64_t> Count(Levels.size(), 0);
   for (unsigned L = 0; L < Levels.size(); ++L) {
-    std::vector<double> Fresh =
-        Rt.levelStats(L).Response.samplesSince(Harvested[L]);
-    Harvested[L] += Fresh.size();
-    for (double V : Fresh)
-      Windows[L]->record(V);
-  }
-  while (Now - LastRotateMicros >= EpochMicros) {
-    for (auto &W : Windows)
-      W->rotate();
-    LastRotateMicros += EpochMicros;
-  }
-  for (unsigned L = 0; L < Levels.size(); ++L) {
-    repro::Histogram H = Windows[L]->merged();
-    P99[L] = H.total() ? H.quantile(0.99) : 0.0;
+    repro::LatencyHistogram Cumulative = Rt.latency(L, LatencyKind::Response);
+    if (Passed)
+      Windows[L]->rotate(Cumulative, Passed);
+    repro::LatencyHistogram W = Windows[L]->window(Cumulative);
+    P99[L] = W.quantile(0.99);
+    Count[L] = W.count();
   }
   std::lock_guard<std::mutex> Lock(Mutex);
   WindowP99 = std::move(P99);
+  WindowCount = std::move(Count);
 }
 
 void AdmissionController::adaptLocked(uint64_t InjectionDelta,
@@ -307,14 +303,13 @@ void AdmissionController::adaptLocked(uint64_t InjectionDelta,
   // below is sacrificed for.
   unsigned Top = 0;
   for (unsigned L = 0; L < Levels.size(); ++L)
-    if (Windows[L]->windowTotal() > 0 || !Levels[L].Queue.empty() ||
+    if (WindowCount[L] > 0 || !Levels[L].Queue.empty() ||
         Levels[L].OfferedThisTick > 0)
       Top = L;
 
   bool Overloaded = InjectionDelta > 0 ||
                     TotalPending > Config.PendingHighWatermark ||
-                    (WindowP99[Top] > Config.TargetP99Micros &&
-                     Windows[Top]->windowTotal() > 0);
+                    WindowP99[Top] > Config.TargetP99Micros;
 
   if (Overloaded) {
     HealthyStreak = 0;
@@ -367,7 +362,7 @@ void AdmissionController::adaptLocked(uint64_t InjectionDelta,
 void AdmissionController::tick() {
   // Inputs gathered with no lock held: snapshot() calls back into
   // sampleAdmission(), which takes Mutex.
-  harvestWindows();
+  readWindows();
   RuntimeSnapshot S = Rt.snapshot();
   uint64_t InjectionDelta = S.InjectionFullSpins - LastInjectionSpins;
   LastInjectionSpins = S.InjectionFullSpins;
@@ -402,7 +397,6 @@ void AdmissionController::tick() {
       AllEmpty = AllEmpty && L.Queue.empty();
   }
   for (Entry &E : Ready) {
-    QueueDelay.record(static_cast<double>(Now - E.EnqueuedMicros));
     if (E.Span.valid())
       if (SpanStore *Spans = Rt.spans())
         Spans->addEvent(E.Span, SpanEventKind::Admit, E.OriginalLevel,
@@ -440,11 +434,10 @@ bool AdmissionController::quiesce() {
 AdmissionSample AdmissionController::sampleAdmission() const {
   AdmissionSample S;
   S.Attached = true;
-  repro::LatencySummary QD = QueueDelay.summary();
-  S.QueueDelayCount = QD.Count;
-  S.QueueDelayP99Micros = QD.P99;
   uint64_t Now = repro::nowMicros();
   std::lock_guard<std::mutex> Lock(Mutex);
+  S.QueueDelayCount = QueueDelay.count();
+  S.QueueDelayP99Micros = QueueDelay.quantile(0.99);
   S.Levels.reserve(Levels.size());
   for (unsigned L = 0; L < Levels.size(); ++L) {
     const Level &Lv = Levels[L];

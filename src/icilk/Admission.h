@@ -23,7 +23,8 @@
 //     ever touching the scheduler);
 //   * a feedback controller drives the per-level token rates from the
 //     runtime's own symptoms: windowed response-time p99 per level (the
-//     same WindowedHistogram mechanism the telemetry sampler serves),
+//     runtime's latency histograms read through LatencyWindows, the same
+//     mechanism the telemetry windows use),
 //     injection-ring pressure (injection_full_spins deltas), and aggregate
 //     ready-queue depth. Under overload it clamps the lowest levels first
 //     and walks upward; after enough healthy ticks the clamps decay away.
@@ -47,7 +48,6 @@
 #include "icilk/Io.h"
 #include "icilk/Runtime.h"
 #include "support/Histogram.h"
-#include "support/Stats.h"
 
 #include <condition_variable>
 #include <cstdint>
@@ -101,12 +101,10 @@ struct AdmissionConfig {
   /// *observed* admit rate (so the first clamp bites immediately instead
   /// of starting from an arbitrary constant).
   double FirstClampFactor = 0.7;
-  /// Shape of the controller's own latency windows (independent of any
+  /// Length of the controller's own latency windows (independent of any
   /// telemetry attached to the same runtime).
   uint64_t EpochMillis = 500;
   unsigned WindowEpochs = 4;
-  double LatencyHiMicros = 500000;
-  std::size_t LatencyBuckets = 500;
 };
 
 /// The admission knobs every server app embeds (proxy, email, job server):
@@ -198,12 +196,12 @@ private:
   };
 
   void controllerLoop();
-  /// One controller tick: harvest latency windows, adapt rates, refill
+  /// One controller tick: read latency windows, adapt rates, refill
   /// buckets, dispatch queues.
   void tick();
-  /// Pulls fresh per-level response samples into the windows and rotates
-  /// epochs on schedule. Never called with Mutex held.
-  void harvestWindows();
+  /// Rotates the windows on schedule and reads each level's windowed p99
+  /// and count. Never called with Mutex held.
+  void readWindows();
   /// Clamp/recover the per-level rates from the current symptoms.
   /// Caller holds Mutex; \p InjectionDelta and \p TotalPending were read
   /// outside the lock. \p NowMicros stamps clamp-start times.
@@ -246,17 +244,18 @@ private:
   unsigned ClampDepth = 0;              ///< levels 0..ClampDepth-1 clamped
   uint64_t LastInjectionSpins = 0;
 
-  /// Controller inputs: windowed response latency per level, harvested
-  /// incrementally from the runtime's sharded level stats exactly like
-  /// the telemetry sampler does.
-  std::vector<std::unique_ptr<repro::WindowedHistogram>> Windows;
-  std::vector<std::size_t> Harvested;
-  std::vector<double> WindowP99;        ///< last harvest's p99 per level
+  /// Controller inputs: windowed response latency per level, over the
+  /// runtime's own histograms.
+  std::vector<std::unique_ptr<repro::LatencyWindows>> Windows;
+  std::vector<double> WindowP99;        ///< last read's p99 per level
                                         ///< (guarded by Mutex)
+  std::vector<uint64_t> WindowCount;    ///< last read's sample count per
+                                        ///< level (guarded by Mutex)
   uint64_t LastRotateMicros;
 
-  /// Queue-delay (enqueue → dispatch) samples for shed-story telemetry.
-  repro::LatencyRecorder QueueDelay;
+  /// Queue delays (enqueue → dispatch) for shed-story telemetry. Guarded
+  /// by Mutex.
+  repro::LatencyHistogram QueueDelay;
 
   std::thread Controller;
   std::mutex ControllerMutex;

@@ -213,8 +213,7 @@ void Health::tick(uint64_t NowNanos) {
   // Completion progress (not worker assignment) is the test: the master
   // may well assign a worker to a level whose queue it never reaches.
   for (unsigned L = 0; L < Levels && L < Snap.Pending.size(); ++L) {
-    uint64_t Completed =
-        Rt.levelStats(L).Completed.load(std::memory_order_relaxed);
+    uint64_t Completed = Rt.completed(L);
     StarveEpisode &E = Starve[L];
     if (Snap.Pending[L] <= 0) {
       E.Open = false;
@@ -350,20 +349,18 @@ std::vector<SloBurnSample> Health::evaluateSlos() const {
     double Budget = 1.0 - S.Objective;
     if (Budget <= 0)
       continue;
-    Histogram Fast =
+    LatencyHistogram Fast =
         Src->windowTail(static_cast<unsigned>(S.Level), Config.SloFastEpochs);
-    Histogram Slow =
+    LatencyHistogram Slow =
         Src->windowTail(static_cast<unsigned>(S.Level), SlowEpochs);
     SloBurnSample B;
     B.Level = S.Level;
     B.TargetMicros = S.P99TargetMicros;
     B.Objective = S.Objective;
-    B.FastCount = Fast.total();
-    B.SlowCount = Slow.total();
-    B.FastBurn =
-        Fast.total() ? Fast.fractionAbove(S.P99TargetMicros) / Budget : 0;
-    B.SlowBurn =
-        Slow.total() ? Slow.fractionAbove(S.P99TargetMicros) / Budget : 0;
+    B.FastCount = Fast.count();
+    B.SlowCount = Slow.count();
+    B.FastBurn = Fast.fractionAbove(S.P99TargetMicros) / Budget;
+    B.SlowBurn = Slow.fractionAbove(S.P99TargetMicros) / Budget;
     Out.push_back(B);
   }
   return Out;

@@ -153,16 +153,17 @@ struct HealthReport {
 };
 
 /// Where the SLO engine reads windowed latency tails from. Implemented by
-/// Telemetry over its per-level WindowedHistograms; tests implement it
-/// directly to seed arbitrary tails. Must be thread-safe: the watcher
-/// calls it from its own thread.
+/// Telemetry over its per-level latency windows (Telemetry::windowTail);
+/// tests implement it directly to seed arbitrary tails. Must be
+/// thread-safe: the watcher calls it from its own thread.
 class LatencyWindowSource {
 public:
   virtual ~LatencyWindowSource() = default;
   virtual unsigned levels() const = 0;
-  /// Merged histogram of the last \p LastEpochs epochs for \p Level
+  /// Observations of the last \p LastEpochs epochs for \p Level
   /// (0 = all retained epochs).
-  virtual Histogram windowTail(unsigned Level, unsigned LastEpochs) const = 0;
+  virtual LatencyHistogram windowTail(unsigned Level,
+                                      unsigned LastEpochs) const = 0;
   virtual unsigned epochs() const = 0;
   virtual uint64_t epochMillis() const = 0;
 };

@@ -116,14 +116,12 @@ Runtime::Runtime(RuntimeConfig Cfg) : Config(Cfg) {
         std::make_unique<conc::MpmcQueue<Task *>>(Config.InjectionCapacity));
     Overflow.push_back(std::make_unique<LevelOverflow>());
   }
-  for (unsigned L = 0; L < Config.NumLevels; ++L)
-    Stats.push_back(std::make_unique<LevelStats>(Config.NumWorkers));
   Pending = conc::PaddedAtomicArray<int64_t>(Config.NumLevels, 0);
   OverflowSize = conc::PaddedAtomicArray<int64_t>(QueueLevels, 0);
   DesireMirror = conc::PaddedAtomicArray<double>(Config.NumLevels, 1.0);
   Plane = QueuePlane(QueueLevels, Config.NumWorkers);
   for (unsigned W = 0; W < Config.NumWorkers; ++W)
-    Workers.push_back(std::make_unique<Worker>(W));
+    Workers.push_back(std::make_unique<Worker>(W, Config.NumLevels));
 
   // Initial assignment: spread workers across levels, highest first, so the
   // first quantum is not blind.
@@ -181,9 +179,9 @@ void Runtime::shutdown() {
   }
   // Tear down the slab: recycled Task objects and every worker's caches.
   // (Worker threads are joined, so their caches are safe to touch.)
-  Task *T = nullptr;
-  while (FreeTasks.tryPop(T))
+  for (Task *T : FreeTasks)
     delete T;
+  FreeTasks.clear();
   for (auto &W : Workers) {
     for (Task *Cached : W->TaskCache)
       delete Cached;
@@ -208,7 +206,14 @@ Task *Runtime::allocTask(std::function<void()> Body, unsigned Level) {
       Cache.pop_back();
     }
   }
-  if (!T && !FreeTasks.tryPop(T))
+  if (!T) {
+    std::lock_guard<std::mutex> Lock(FreeTasksMutex);
+    if (!FreeTasks.empty()) {
+      T = FreeTasks.back();
+      FreeTasks.pop_back();
+    }
+  }
+  if (!T)
     return new Task(std::move(Body), Level);
   T->reset(std::move(Body), Level);
   return T;
@@ -488,21 +493,16 @@ Task *Runtime::findTaskAtLevel(unsigned QueueIdx, Worker *Self, bool PopSelf) {
   return nullptr;
 }
 
-void Runtime::runTask(Task *T, Worker *Self, bool CountedPending) {
+void Runtime::runTask(Task *T, Worker &Self, bool CountedPending) {
   if (CountedPending)
     Pending[T->level()].fetch_sub(1, std::memory_order_relaxed);
   uint64_t Begin = repro::nowNanos();
-  if (Self) {
-    Self->LastCpu.store(repro::currentCpu(), std::memory_order_relaxed);
-    publishStatus(*Self, WorkerState::Running,
-                  static_cast<uint8_t>(T->level()), T->ringId(),
-                  T->span().TraceLo, Begin);
-  }
-  bool Finished =
-      T->startOrResume(FiberStacks, Self ? &Self->StackCache : nullptr);
+  Self.LastCpu.store(repro::currentCpu(), std::memory_order_relaxed);
+  publishStatus(Self, WorkerState::Running, static_cast<uint8_t>(T->level()),
+                T->ringId(), T->span().TraceLo, Begin);
+  bool Finished = T->startOrResume(FiberStacks, &Self.StackCache);
   uint64_t ElapsedNanos = repro::nowNanos() - Begin;
-  if (Self)
-    Self->WorkNanos.fetch_add(ElapsedNanos, std::memory_order_relaxed);
+  Self.WorkNanos.fetch_add(ElapsedNanos, std::memory_order_relaxed);
   TotalWorkNanos.fetch_add(ElapsedNanos, std::memory_order_relaxed);
   if (trace::enabled()) {
     trace::emit(trace::EventKind::RunSlice, static_cast<uint8_t>(T->level()),
@@ -520,10 +520,8 @@ void Runtime::runTask(Task *T, Worker *Self, bool CountedPending) {
     // Publish the in-io status *before* handing the task to the future —
     // after addWaiter another worker may resume (and recycle) it, so the
     // fields must be read while the task is still exclusively ours.
-    if (Self)
-      publishStatus(*Self, WorkerState::InIo,
-                    static_cast<uint8_t>(T->level()), T->ringId(),
-                    T->span().TraceLo, Begin + ElapsedNanos);
+    publishStatus(Self, WorkerState::InIo, static_cast<uint8_t>(T->level()),
+                  T->ringId(), T->span().TraceLo, Begin + ElapsedNanos);
     FutureStateBase *Awaited = T->waitingOn();
     assert(Awaited && "task neither finished nor suspended");
     T->clearWaitingOn();
@@ -531,31 +529,38 @@ void Runtime::runTask(Task *T, Worker *Self, bool CountedPending) {
       resumeTask(T);
     return;
   }
-  if (Self)
-    publishStatus(*Self, WorkerState::Stealing,
-                  static_cast<uint8_t>(
-                      Config.PriorityAware ? Self->AssignedLevel.load() : 0u),
-                  0, 0, Begin + ElapsedNanos);
+  publishStatus(Self, WorkerState::Stealing,
+                static_cast<uint8_t>(
+                    Config.PriorityAware ? Self.AssignedLevel.load() : 0u),
+                0, 0, Begin + ElapsedNanos);
 
-  LevelStats &S = levelStats(T->level());
-  unsigned Shard = Self ? Self->Index : 0;
-  S.Response.record(Shard, T->responseMicros());
-  S.Compute.record(Shard, T->computeMicros());
-  S.QueueWait.record(Shard, T->queueWaitMicros());
-  S.Completed.fetch_add(1, std::memory_order_relaxed);
-  Executed.fetch_add(1, std::memory_order_relaxed);
+  // This worker's own shards: no lock, no shared cache line. Their counts
+  // are the completion counters (completed(), snapshot().TasksExecuted).
+  auto &Shards = Self.Latency[T->level()];
+  Shards[static_cast<unsigned>(LatencyKind::Response)].record(
+      T->responseMicros());
+  Shards[static_cast<unsigned>(LatencyKind::Compute)].record(
+      T->computeMicros());
+  Shards[static_cast<unsigned>(LatencyKind::QueueWait)].record(
+      T->queueWaitMicros());
   Outstanding.fetch_sub(1, std::memory_order_release);
   recycleTask(T, Self);
 }
 
-void Runtime::recycleTask(Task *T, Worker *Self) {
-  T->releaseRunResources(FiberStacks, Self ? &Self->StackCache : nullptr);
+void Runtime::recycleTask(Task *T, Worker &Self) {
+  T->releaseRunResources(FiberStacks, &Self.StackCache);
   TasksRecycledCount.fetch_add(1, std::memory_order_relaxed);
-  if (Self && Self->TaskCache.size() < TaskCacheCap) {
-    Self->TaskCache.push_back(T);
+  std::vector<Task *> &Cache = Self.TaskCache;
+  Cache.push_back(T);
+  if (Cache.size() <= TaskCacheCap)
     return;
-  }
-  FreeTasks.push(T);
+  // Full: spill the older half in one lock, so a worker recycling tasks an
+  // external thread keeps allocating takes the global lock once per
+  // TaskCacheCap / 2 tasks, not once per task.
+  auto Keep = Cache.end() - TaskCacheCap / 2;
+  std::lock_guard<std::mutex> Lock(FreeTasksMutex);
+  FreeTasks.insert(FreeTasks.end(), Cache.begin(), Keep);
+  Cache.erase(Cache.begin(), Keep);
 }
 
 bool Runtime::anyPendingSeqCst() const {
@@ -615,7 +620,7 @@ void Runtime::workerLoop(unsigned Index) {
           T = findTaskAtLevel(L, &W, /*PopSelf=*/false);
     }
     if (T) {
-      runTask(T, &W, Counted);
+      runTask(T, W, Counted);
       B.reset();
       HadWork = true;
       IdleScans = 0;
@@ -672,7 +677,7 @@ void Runtime::masterLoop() {
   std::vector<uint8_t> Satisfied(Config.NumLevels, 1);
   std::vector<unsigned> PrevGrant(Config.NumLevels, UINT_MAX);
   const double QuantumNanos = static_cast<double>(Config.QuantumMicros) * 1000.0;
-  uint64_t WatchdogLastExecuted = Executed.load(std::memory_order_relaxed);
+  uint64_t WatchdogLastCompleted = completedTotal();
   unsigned QuantaSinceProgress = 0;
 
   while (true) {
@@ -689,16 +694,16 @@ void Runtime::masterLoop() {
     // wakeup, deadlocked future chain, I/O that never completes) — dump
     // the queue state once per episode so the stall is diagnosable.
     if (Config.WatchdogQuanta > 0) {
-      uint64_t Exec = Executed.load(std::memory_order_relaxed);
+      uint64_t Done = completedTotal();
       if (Outstanding.load(std::memory_order_relaxed) > 0 &&
-          Exec == WatchdogLastExecuted) {
+          Done == WatchdogLastCompleted) {
         if (++QuantaSinceProgress == Config.WatchdogQuanta) {
           Stalls.fetch_add(1, std::memory_order_relaxed);
           std::ostringstream Dump;
           Dump << "runtime watchdog: no progress for " << QuantaSinceProgress
                << " quanta; outstanding="
                << Outstanding.load(std::memory_order_relaxed)
-               << " executed=" << Exec << "; per-level [pending/assigned]:";
+               << " executed=" << Done << "; per-level [pending/assigned]:";
           auto Assigned = countAssignments();
           for (unsigned L = Config.NumLevels; L-- > 0;)
             Dump << " L" << L << "=["
@@ -708,7 +713,7 @@ void Runtime::masterLoop() {
         }
       } else {
         QuantaSinceProgress = 0;
-        WatchdogLastExecuted = Exec;
+        WatchdogLastCompleted = Done;
       }
     }
 
@@ -823,6 +828,29 @@ void Runtime::drain() {
     B.pause();
 }
 
+repro::LatencyHistogram Runtime::latency(unsigned Level,
+                                        LatencyKind Kind) const {
+  repro::LatencyHistogram Merged;
+  for (const auto &W : Workers)
+    Merged.merge(W->Latency[Level][static_cast<unsigned>(Kind)]);
+  return Merged;
+}
+
+uint64_t Runtime::completed(unsigned Level) const {
+  uint64_t N = 0;
+  for (const auto &W : Workers)
+    N += W->Latency[Level][static_cast<unsigned>(LatencyKind::Response)]
+             .count();
+  return N;
+}
+
+uint64_t Runtime::completedTotal() const {
+  uint64_t N = 0;
+  for (unsigned L = 0; L < Config.NumLevels; ++L)
+    N += completed(L);
+  return N;
+}
+
 std::vector<unsigned> Runtime::countAssignments() const {
   std::vector<unsigned> Counts(Config.NumLevels, 0);
   for (const auto &W : Workers)
@@ -839,7 +867,7 @@ std::vector<double> Runtime::currentDesires() const {
 
 RuntimeSnapshot Runtime::snapshot() const {
   RuntimeSnapshot S;
-  S.TasksExecuted = Executed.load(std::memory_order_relaxed);
+  S.TasksExecuted = completedTotal();
   S.TotalWorkNanos = TotalWorkNanos.load(std::memory_order_relaxed);
   S.Outstanding = Outstanding.load(std::memory_order_relaxed);
   S.StallsDetected = Stalls.load(std::memory_order_relaxed);
@@ -928,35 +956,16 @@ void Runtime::sampleMetrics(repro::MetricsRegistry &M,
     }
   }
 
-  // Latency histograms are fed *incrementally*: a cursor per registry
-  // remembers how much of each recorder this registry has consumed, so a
-  // telemetry loop calling this every tick pays for the fresh samples
-  // only — and repeated calls no longer double-count the whole history
-  // into the histogram.
-  std::lock_guard<std::mutex> CursorLock(MetricsCursorMutex);
-  auto &Cursors = MetricsCursors[&M];
-  if (Cursors.empty())
-    Cursors.resize(Config.NumLevels);
   for (unsigned L = 0; L < Config.NumLevels; ++L) {
     std::string LP = Prefix + ".level" + std::to_string(L);
     M.setGauge(LP + ".pending", static_cast<double>(S.Pending[L]));
     M.setGauge(LP + ".assigned", static_cast<double>(S.Assigned[L]));
     M.setGauge(LP + ".desire", S.Desires[L]);
-    const LevelStats &LS = *Stats[L];
-    M.counter(LP + ".completed")
-        .set(LS.Completed.load(std::memory_order_relaxed));
-    LevelCursor &Cur = Cursors[L];
-    // 0–100 ms linear histograms: wide enough for every app's ladder,
-    // fine enough (500 µs buckets) to show priority separation.
-    auto Fresh = LS.Response.samplesSince(Cur.Response);
-    Cur.Response += Fresh.size();
-    M.histogram(LP + ".response_micros", 0, 100000, 200).recordAll(Fresh);
-    Fresh = LS.Compute.samplesSince(Cur.Compute);
-    Cur.Compute += Fresh.size();
-    M.histogram(LP + ".compute_micros", 0, 100000, 200).recordAll(Fresh);
-    Fresh = LS.QueueWait.samplesSince(Cur.QueueWait);
-    Cur.QueueWait += Fresh.size();
-    M.histogram(LP + ".queue_wait_micros", 0, 100000, 200).recordAll(Fresh);
+    M.counter(LP + ".completed").set(completed(L));
+    M.setHistogram(LP + ".response_micros", latency(L, LatencyKind::Response));
+    M.setHistogram(LP + ".compute_micros", latency(L, LatencyKind::Compute));
+    M.setHistogram(LP + ".queue_wait_micros",
+                   latency(L, LatencyKind::QueueWait));
   }
 }
 

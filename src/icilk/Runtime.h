@@ -31,9 +31,10 @@
 // (levels are still recorded for measurement).
 //
 // Hot-path design (see DESIGN.md, "Hot-path costs"): Task objects and
-// fiber stacks are slab-recycled (per-worker caches over Treiber-stack
-// global free lists) instead of new/deleted per spawn; per-completion
-// latency samples go to per-worker shards merged lock-free at harvest;
+// fiber stacks are slab-recycled (per-worker caches over mutex-guarded
+// global free lists) instead of new/deleted per spawn; each completion
+// records its latencies into the finishing worker's own histogram shards,
+// which readers merge;
 // workers that find nothing after a bounded number of full scans *park*
 // on a futex event count instead of spinning, woken by enqueue/resume;
 // shared per-level counters each own a cache line and thieves start their
@@ -49,18 +50,17 @@
 #include "conc/EventCount.h"
 #include "conc/MpmcQueue.h"
 #include "conc/StackPool.h"
-#include "conc/TreiberStack.h"
 #include "icilk/Future.h"
 #include "icilk/QueuePlane.h"
 #include "icilk/Task.h"
+#include "support/Histogram.h"
 #include "support/Random.h"
-#include "support/Stats.h"
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -82,7 +82,7 @@ struct RuntimeConfig {
   uint64_t QuantumMicros = 500;       ///< master scheduling quantum
   double UtilizationThreshold = 0.9;  ///< 90%
   double Growth = 2.0;                ///< γ
-  /// Stall watchdog: if Outstanding > 0 with no Executed progress for this
+  /// Stall watchdog: if Outstanding > 0 with no completions for this
   /// many consecutive quanta, the master logs a diagnostic dump of the
   /// per-level queue depths (once per stall episode). 0 disables. Runs on
   /// the master thread, so it is active only in priority-aware multi-level
@@ -113,17 +113,12 @@ struct RuntimeConfig {
   bool LocalityTiers = true;
 };
 
-/// Per-priority-level measurement sinks (Figs. 13–14 report summaries of
-/// these). The recorders are sharded per worker — recording a completion
-/// is lock-free on the worker's own shard — but read exactly like the old
-/// mutex-guarded LatencyRecorder (count/samples/samplesSince/summary).
-struct LevelStats {
-  explicit LevelStats(unsigned Shards)
-      : Response(Shards), Compute(Shards), QueueWait(Shards) {}
-  repro::ShardedLatencyRecorder Response;  ///< creation → completion (µs)
-  repro::ShardedLatencyRecorder Compute;   ///< start → completion (µs)
-  repro::ShardedLatencyRecorder QueueWait; ///< creation → start (µs)
-  std::atomic<uint64_t> Completed{0};
+/// The per-task latencies the runtime records at every completion, per
+/// priority level (Figs. 13–14 report summaries of these). Microseconds.
+enum class LatencyKind : unsigned {
+  Response,  ///< creation → completion
+  Compute,   ///< first dispatch → completion
+  QueueWait, ///< creation → first dispatch
 };
 
 /// What a worker is doing right now, as published in its seqlock-guarded
@@ -282,19 +277,21 @@ public:
   /// the destructor. Outstanding queued tasks are still executed first.
   void shutdown();
 
-  LevelStats &levelStats(unsigned Level) { return *Stats[Level]; }
-  const LevelStats &levelStats(unsigned Level) const { return *Stats[Level]; }
+  /// Every \p Kind latency of the tasks completed at \p Level so far:
+  /// the workers' shards, merged. Memory is fixed at construction.
+  repro::LatencyHistogram latency(unsigned Level, LatencyKind Kind) const;
+
+  /// Tasks completed at \p Level so far (the shards' counts; cheap).
+  uint64_t completed(unsigned Level) const;
 
   /// One coherent sample of every observable scheduler quantity — the
   /// stats API. Replaces the deprecated per-field getters below.
   RuntimeSnapshot snapshot() const;
 
-  /// Dumps the current snapshot plus per-level latency summaries into
-  /// \p M as "<Prefix>.*" counters/gauges/histograms (see
-  /// support/Metrics.h). Incremental per registry: each call feeds only
-  /// the latency samples recorded since the previous call with the same
-  /// \p M into the histograms, so sampling cost tracks fresh work, not
-  /// total history. Intended at run boundaries, not per task.
+  /// Dumps the current snapshot plus the per-level latency histograms
+  /// into \p M as "<Prefix>.*" counters/gauges/histograms (see
+  /// support/Metrics.h); each call replaces the previous values. Intended
+  /// at run boundaries, not per task.
   void sampleMetrics(repro::MetricsRegistry &M,
                      const std::string &Prefix = "runtime") const;
 
@@ -362,9 +359,9 @@ public:
 
 private:
   struct Worker {
-    explicit Worker(unsigned Index)
-        : Index(Index), StealRng(0x51ab5000 + Index) {}
-    const unsigned Index; ///< position in Workers; latency-shard id
+    Worker(unsigned Index, unsigned Levels)
+        : Index(Index), StealRng(0x51ab5000 + Index), Latency(Levels) {}
+    const unsigned Index; ///< position in Workers
     /// The two cross-thread-hot atomics each own a cache line:
     /// AssignedLevel is master-written and polled by the worker every
     /// scan; WorkNanos is worker-written per task and harvested by the
@@ -417,6 +414,9 @@ private:
     alignas(conc::CacheLineBytes) repro::Rng StealRng;
     conc::StackPool::LocalCache StackCache;
     std::vector<Task *> TaskCache;
+    /// This worker's latency shards, [level][LatencyKind]: written only
+    /// by this worker at task completion, merged by readers.
+    std::vector<std::array<repro::LatencyHistogram, 3>> Latency;
     std::thread Thread;
   };
 
@@ -461,15 +461,20 @@ private:
   /// \p CountedPending is false for tasks consumed from a next-slot or
   /// mailbox, which were never added to the Pending counters (they are
   /// unstealable, so advertising them would make idle workers spin).
-  void runTask(Task *T, Worker *Self, bool CountedPending = true);
-  void recycleTask(Task *T, Worker *Self);
+  void runTask(Task *T, Worker &Self, bool CountedPending = true);
+  void recycleTask(Task *T, Worker &Self);
   bool anyPendingSeqCst() const;
+  /// Tasks completed at every level so far.
+  uint64_t completedTotal() const;
   std::vector<unsigned> countAssignments() const;
   std::vector<double> currentDesires() const;
 
   RuntimeConfig Config;
   conc::StackPool FiberStacks{Task::StackBytes};
-  conc::TreiberStack<Task *> FreeTasks; ///< slab overflow, any thread
+  /// Slab overflow behind the per-worker caches, any thread. Cold: taken
+  /// when a cache is full or empty (external submitters have none).
+  std::mutex FreeTasksMutex;
+  std::vector<Task *> FreeTasks; ///< guarded by FreeTasksMutex
   std::vector<std::unique_ptr<Worker>> Workers;
   /// The 2-D queue-levels × workers deque plane (QueuePlane.h); cell
   /// (L, W) is worker W's deque for level L. Replaces per-Worker deque
@@ -477,7 +482,6 @@ private:
   QueuePlane Plane;
   std::vector<std::unique_ptr<conc::MpmcQueue<Task *>>> Injection;
   std::vector<std::unique_ptr<LevelOverflow>> Overflow;
-  std::vector<std::unique_ptr<LevelStats>> Stats;
   conc::PaddedAtomicArray<int64_t> Pending;      ///< queued, per level
   conc::PaddedAtomicArray<int64_t> OverflowSize; ///< spill depth, per level
   /// Master-published mirror of each level's desire, for snapshot()
@@ -490,7 +494,6 @@ private:
   conc::EventCount IdleEc;
 
   std::atomic<int64_t> Outstanding{0};
-  std::atomic<uint64_t> Executed{0};
   std::atomic<uint64_t> Stalls{0};
   std::atomic<uint64_t> FtouchInversions{0};
   std::atomic<uint64_t> DeadlineMisses{0};
@@ -510,15 +513,6 @@ private:
   std::atomic<class SpanStore *> Spans{nullptr};
   std::atomic<const AdmissionView *> AdmissionStats{nullptr};
   std::atomic<bool> Stop{false};
-
-  /// Per-registry consumed counts for sampleMetrics (so repeated calls
-  /// feed each histogram every sample exactly once).
-  struct LevelCursor {
-    std::size_t Response = 0, Compute = 0, QueueWait = 0;
-  };
-  mutable std::mutex MetricsCursorMutex;
-  mutable std::map<const repro::MetricsRegistry *, std::vector<LevelCursor>>
-      MetricsCursors;
 
   std::thread Master;
   std::mutex MasterMutex;

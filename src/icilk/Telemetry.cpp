@@ -9,6 +9,8 @@
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -19,12 +21,12 @@ namespace {
 constexpr const char *PrometheusContentType =
     "text/plain; version=0.0.4; charset=utf-8";
 
-/// Prometheus sample values: plain shortest-round-trip formatting (the
-/// format accepts scientific notation, so default ostream rules are fine).
+/// Prometheus sample values: shortest round-trip formatting, so a scrape
+/// reads the same double /latency.json and snapshot() report.
 std::string num(double V) {
-  std::ostringstream OS;
-  OS << V;
-  return OS.str();
+  char Buf[32];
+  auto R = std::to_chars(Buf, Buf + sizeof Buf, V);
+  return std::string(Buf, R.ptr);
 }
 
 std::string num(uint64_t V) { return std::to_string(V); }
@@ -63,34 +65,6 @@ double epochMicros(uint64_t TimeNanos, uint64_t EpochNanos) {
              ? static_cast<double>(TimeNanos - EpochNanos) / 1000.0
              : 0.0;
 }
-
-/// Health's view over the per-level latency windows: fast/slow SLO tails
-/// read the same epoch ring at two depths.
-class TelemetryWindowSource : public LatencyWindowSource {
-public:
-  TelemetryWindowSource(
-      const std::vector<std::unique_ptr<repro::WindowedHistogram>> &Windows,
-      unsigned Epochs, uint64_t EpochMs)
-      : Windows(Windows), Epochs_(Epochs), EpochMs(EpochMs) {}
-
-  unsigned levels() const override {
-    return static_cast<unsigned>(Windows.size());
-  }
-  repro::Histogram windowTail(unsigned Level,
-                              unsigned LastEpochs) const override {
-    if (Level >= Windows.size())
-      return repro::Histogram(0, 1, 1);
-    return LastEpochs ? Windows[Level]->mergedLast(LastEpochs)
-                      : Windows[Level]->merged();
-  }
-  unsigned epochs() const override { return Epochs_; }
-  uint64_t epochMillis() const override { return EpochMs; }
-
-private:
-  const std::vector<std::unique_ptr<repro::WindowedHistogram>> &Windows;
-  unsigned Epochs_;
-  uint64_t EpochMs;
-};
 
 json::Value traceFlagNames(uint32_t Flags) {
   static constexpr struct {
@@ -174,15 +148,13 @@ std::string Telemetry::escapeHelpText(const std::string &Value) {
 Telemetry::Telemetry(Runtime &Rt, TelemetryConfig Cfg,
                      repro::MetricsRegistry *Registry)
     : Rt(Rt), Config(std::move(Cfg)), Registry(Registry) {
-  Harvested.assign(Rt.config().NumLevels, 0);
-  for (unsigned L = 0; L < Rt.config().NumLevels; ++L)
-    Windows.push_back(std::make_unique<repro::WindowedHistogram>(
-        Config.LatencyLoMicros, Config.LatencyHiMicros, Config.LatencyBuckets,
-        std::max(1u, Config.WindowEpochs), Config.ExemplarSlots));
-  WindowAdapter = std::make_unique<TelemetryWindowSource>(
-      Windows, std::max(1u, Config.WindowEpochs), Config.EpochMillis);
+  const unsigned Levels = Rt.config().NumLevels;
+  for (unsigned L = 0; L < Levels; ++L)
+    Windows.push_back(std::make_unique<repro::LatencyWindows>(
+        Config.WindowEpochs, Rt.latency(L, LatencyKind::Response)));
+  Exemplars.assign(Levels, std::vector<Exemplar>(Config.ExemplarSlots));
   HealthPlane = std::make_unique<Health>(Rt, Config.Health);
-  HealthPlane->trackWindows(WindowAdapter.get());
+  HealthPlane->trackWindows(this);
 
   Server.route("/", [this](const http::Request &) {
     http::Response R;
@@ -271,6 +243,12 @@ void Telemetry::stop() {
   Started = false;
 }
 
+repro::LatencyHistogram Telemetry::windowTail(unsigned Level,
+                                             unsigned LastEpochs) const {
+  return Windows[Level]->window(Rt.latency(Level, LatencyKind::Response),
+                                LastEpochs);
+}
+
 void Telemetry::samplerLoop() {
   trace::setThreadName("telemetry");
   uint64_t LastRotateNanos = repro::nowNanos();
@@ -283,22 +261,19 @@ void Telemetry::samplerLoop() {
     if (StopSampler)
       return;
     Lock.unlock();
-    harvestLatencies();
     uint64_t Now = repro::nowNanos();
-    // Catch up missed epochs one by one so a delayed tick still expires
-    // exactly the epochs whose time passed.
-    while (Now - LastRotateNanos >= EpochNanos) {
-      for (auto &W : Windows)
-        W->rotate();
-      LastRotateNanos += EpochNanos;
+    if (uint64_t Passed = (Now - LastRotateNanos) / EpochNanos) {
+      for (unsigned L = 0; L < Windows.size(); ++L)
+        Windows[L]->rotate(Rt.latency(L, LatencyKind::Response), Passed);
+      LastRotateNanos += Passed * EpochNanos;
     }
     // Feed the tail sampler's slow threshold from the live windows: a
     // trace slower than the worst per-level p99 is always retained.
     if (SpanStore *SS = Spans.load(std::memory_order_acquire)) {
       double MaxP99 = 0;
-      for (auto &W : Windows) {
-        repro::Histogram H = W->merged();
-        if (H.total())
+      for (unsigned L = 0; L < Windows.size(); ++L) {
+        repro::LatencyHistogram H = windowTail(L, 0);
+        if (H.count())
           MaxP99 = std::max(MaxP99, H.quantile(0.99));
       }
       if (MaxP99 > 0)
@@ -312,42 +287,56 @@ void Telemetry::samplerLoop() {
 
 void Telemetry::harvestExemplars(uint64_t NowNanos) {
   SpanStore *SS = Spans.load(std::memory_order_acquire);
-  if (!SS || Windows.empty())
+  if (!SS)
     return;
-  // New retained traces become exemplars on the window covering their
-  // root level (most-recent-wins per value slot, inside WindowedHistogram).
-  for (const SpanStore::RetainedSummary &T :
-       SS->retainedSince(ExemplarScanNanos)) {
-    unsigned L = std::min<unsigned>(T.RootLevel,
-                                    static_cast<unsigned>(Windows.size()) - 1);
-    Windows[L]->noteExemplar(T.DurationMicros, T.DisplayHi, T.DisplayLo,
-                             T.LocalLo, T.EndNanos);
+  std::vector<SpanStore::RetainedSummary> Fresh =
+      SS->retainedSince(ExemplarScanNanos);
+  for (const SpanStore::RetainedSummary &T : Fresh)
     ExemplarScanNanos = std::max(ExemplarScanNanos, T.EndNanos + 1);
-  }
-  // Expire exemplars older than the latency window, then re-pin: the span
-  // store keeps exactly the traces the exported exemplars point at alive,
-  // even past retained-ring eviction.
+  // Exemplars older than the latency window are expired, then the span
+  // store is re-pinned: it keeps exactly the traces the exported
+  // exemplars point at alive, even past retained-ring eviction.
   const uint64_t WindowNanos =
       static_cast<uint64_t>(std::max(1u, Config.WindowEpochs)) *
       Config.EpochMillis * 1000000;
-  const uint64_t Cutoff = NowNanos > WindowNanos ? NowNanos - WindowNanos : 0;
-  std::vector<uint64_t> Pins;
-  for (auto &W : Windows) {
-    W->expireExemplars(Cutoff);
-    for (const repro::HistogramExemplar &E : W->exemplars())
-      Pins.push_back(E.PinKey);
-  }
-  SS->pinRetained(Pins);
+  SS->pinRetained(fileExemplars(
+      Fresh, NowNanos > WindowNanos ? NowNanos - WindowNanos : 0));
 }
 
-void Telemetry::harvestLatencies() {
-  for (unsigned L = 0; L < Rt.config().NumLevels; ++L) {
-    std::vector<double> Fresh =
-        Rt.levelStats(L).Response.samplesSince(Harvested[L]);
-    Harvested[L] += Fresh.size();
-    for (double V : Fresh)
-      Windows[L]->record(V);
+std::vector<uint64_t>
+Telemetry::fileExemplars(const std::vector<SpanStore::RetainedSummary> &Fresh,
+                         uint64_t CutoffNanos) {
+  std::vector<uint64_t> Pins;
+  if (Config.ExemplarSlots == 0)
+    return Pins;
+  std::lock_guard<std::mutex> Lock(ExemplarMutex);
+  for (const SpanStore::RetainedSummary &T : Fresh) {
+    std::vector<Exemplar> &Slots = Exemplars[std::min<std::size_t>(
+        T.RootLevel, Exemplars.size() - 1)];
+    // One slot per decade of latency; the last is open-ended.
+    auto Decade = static_cast<std::size_t>(
+        std::log10(std::max(1.0, T.DurationMicros)));
+    Slots[std::min(Decade, Slots.size() - 1)] = {
+        T.DurationMicros, T.DisplayHi, T.DisplayLo, T.LocalLo, T.EndNanos,
+        true};
   }
+  for (std::vector<Exemplar> &Slots : Exemplars)
+    for (Exemplar &E : Slots) {
+      if (E.Valid && E.TimeNanos < CutoffNanos)
+        E = Exemplar{};
+      if (E.Valid)
+        Pins.push_back(E.PinKey);
+    }
+  return Pins;
+}
+
+std::vector<Telemetry::Exemplar> Telemetry::exemplars(unsigned Level) const {
+  std::lock_guard<std::mutex> Lock(ExemplarMutex);
+  std::vector<Exemplar> Out;
+  for (const Exemplar &E : Exemplars[Level])
+    if (E.Valid)
+      Out.push_back(E);
+  return Out;
 }
 
 std::string Telemetry::renderPrometheus() const {
@@ -433,7 +422,7 @@ std::string Telemetry::renderPrometheus() const {
          "Tasks completed per priority level.");
   for (unsigned L = 0; L < Rt.config().NumLevels; ++L)
     sample(Out, P + "_level_completed_total", levelLabel(L),
-           num(Rt.levelStats(L).Completed.load(std::memory_order_relaxed)));
+           num(Rt.completed(L)));
 
   family(Out, P + "_response_latency_micros", "gauge",
          "Windowed response-time quantiles per priority level "
@@ -442,8 +431,8 @@ std::string Telemetry::renderPrometheus() const {
   const char *QuantileNames[] = {"0.5", "0.99", "0.999"};
   std::vector<uint64_t> WindowCounts;
   for (unsigned L = 0; L < Windows.size(); ++L) {
-    repro::Histogram H = Windows[L]->merged();
-    WindowCounts.push_back(H.total());
+    repro::LatencyHistogram H = windowTail(L, 0);
+    WindowCounts.push_back(H.count());
     for (std::size_t Q = 0; Q < 3; ++Q)
       sample(Out, P + "_response_latency_micros",
              levelLabel(L) + ",quantile=\"" + QuantileNames[Q] + "\"",
@@ -461,7 +450,7 @@ std::string Telemetry::renderPrometheus() const {
            "Recent tail observations per level, each linked (OpenMetrics "
            "exemplar syntax) to a trace retained in /spans.json.");
     for (unsigned L = 0; L < Windows.size(); ++L) {
-      std::vector<repro::HistogramExemplar> Exs = Windows[L]->exemplars();
+      std::vector<Exemplar> Exs = exemplars(L);
       for (unsigned I = 0; I < Exs.size(); ++I) {
         // OpenMetrics exemplar: `name{labels} value # {trace_id="…"} value`.
         Out += P + "_response_latency_exemplar_micros{" + levelLabel(L) +
@@ -721,9 +710,7 @@ json::Value Telemetry::snapshotJson() const {
       LV.set("injection_overflow", json::Value(S.InjectionOverflow[L]));
     LV.set("assigned", json::Value(static_cast<uint64_t>(S.Assigned[L])));
     LV.set("desire", json::Value(S.Desires[L]));
-    LV.set("completed",
-           json::Value(Rt.levelStats(L).Completed.load(
-               std::memory_order_relaxed)));
+    LV.set("completed", json::Value(Rt.completed(L)));
     Levels.push(std::move(LV));
   }
   Out.set("levels", std::move(Levels));
@@ -781,16 +768,15 @@ json::Value Telemetry::latencyJson() const {
   Out.set("epoch_millis", json::Value(Config.EpochMillis));
   json::Value Levels = json::Value::array();
   for (unsigned L = 0; L < Windows.size(); ++L) {
-    repro::Histogram H = Windows[L]->merged();
+    repro::LatencyHistogram H = windowTail(L, 0);
     json::Value LV = json::Value::object();
     LV.set("level", json::Value(static_cast<uint64_t>(L)));
-    LV.set("window_count", json::Value(H.total()));
+    LV.set("window_count", json::Value(H.count()));
     LV.set("p50", json::Value(H.quantile(0.5)));
     LV.set("p99", json::Value(H.quantile(0.99)));
     LV.set("p999", json::Value(H.quantile(0.999)));
-    LV.set("overflow", json::Value(H.overflow()));
     json::Value Exs = json::Value::array();
-    for (const repro::HistogramExemplar &E : Windows[L]->exemplars()) {
+    for (const Exemplar &E : exemplars(L)) {
       json::Value EV = json::Value::object();
       EV.set("value_micros", json::Value(E.Value));
       EV.set("trace_id", json::Value(hex32(E.TraceHi, E.TraceLo)));

@@ -28,11 +28,13 @@
 //                       on the rings at all).
 //
 // Mechanics: an HttpServer (support/HttpServer.h) answers on its own
-// thread against thread-safe surfaces only, and a background sampler
-// thread harvests each level's new response samples into a per-level
-// WindowedHistogram every SampleIntervalMillis, rotating the window ring
-// every EpochMillis. Overhead while nobody polls is one small thread
-// copying latency tails ~10×/s; the hot scheduler paths are untouched.
+// thread against thread-safe surfaces only. Latency windows read the
+// runtime's own histograms (Runtime::latency) minus a snapshot taken when
+// the window opened (support/Histogram.h, LatencyWindows); a background
+// sampler thread takes those snapshots every EpochMillis and, every
+// SampleIntervalMillis, feeds the span store's slow threshold and the
+// exemplars. Nothing copies samples; the hot scheduler paths are
+// untouched.
 //
 //===----------------------------------------------------------------------===//
 
@@ -41,6 +43,7 @@
 
 #include "icilk/Health.h"
 #include "icilk/Runtime.h"
+#include "icilk/SpanStore.h"
 #include "support/Histogram.h"
 #include "support/HttpServer.h"
 #include "support/Json.h"
@@ -55,38 +58,35 @@
 namespace repro::icilk {
 
 class Io;
-class SpanStore;
 
 struct TelemetryConfig {
   /// TCP port to serve on; 0 asks the kernel for an ephemeral port (read
   /// it back with Telemetry::port()).
   uint16_t Port = 0;
-  /// Sampler cadence: how often new latency samples are harvested into
-  /// the current window epoch.
+  /// Sampler cadence: how often the window clock, the span store's slow
+  /// threshold and the exemplars are refreshed.
   uint64_t SampleIntervalMillis = 100;
   /// Window granularity: the epoch ring rotates at this period...
   uint64_t EpochMillis = 1000;
   /// ...and keeps this many epochs, so quantiles cover the last
   /// WindowEpochs × EpochMillis milliseconds.
   unsigned WindowEpochs = 10;
-  /// Shape of the per-level latency histograms (µs).
-  double LatencyLoMicros = 0;
-  double LatencyHiMicros = 100000; ///< quantiles saturate here (100 ms)
-  std::size_t LatencyBuckets = 1000;
   /// Prometheus metric namespace ("icilk" → icilk_tasks_executed_total).
   std::string Prefix = "icilk";
   /// Health-plane knobs (profiler cadence, doctor thresholds, SLOs). The
   /// owned Health instance is constructed from this and started with the
   /// sampler; see icilk/Health.h.
   HealthConfig Health;
-  /// Exemplar slots per per-level latency window (plus an overflow slot);
-  /// 0 disables metric→trace exemplars.
+  /// Exemplar slots per level, one per decade of latency (under 10 µs,
+  /// 10–100 µs, ...; the last is open-ended); 0 disables metric→trace
+  /// exemplars.
   std::size_t ExemplarSlots = 8;
 };
 
 /// Serves a running Runtime's observable state over HTTP. The Runtime
-/// (and the registry, when given) must outlive this object.
-class Telemetry {
+/// (and the registry, when given) must outlive this object. It is also
+/// the health plane's LatencyWindowSource over its per-level windows.
+class Telemetry : public LatencyWindowSource {
 public:
   explicit Telemetry(Runtime &Rt, TelemetryConfig Config = {},
                      repro::MetricsRegistry *Registry = nullptr);
@@ -125,6 +125,17 @@ public:
   class Health &health() { return *HealthPlane; }
   const class Health &health() const { return *HealthPlane; }
 
+  /// Level \p Level's response latencies over the last \p LastEpochs
+  /// window epochs (0 = the whole window): what /latency.json, /metrics
+  /// and the health plane's SLO engine read.
+  repro::LatencyHistogram windowTail(unsigned Level,
+                                     unsigned LastEpochs) const override;
+  unsigned levels() const override {
+    return static_cast<unsigned>(Windows.size());
+  }
+  unsigned epochs() const override { return Windows[0]->epochs(); }
+  uint64_t epochMillis() const override { return Config.EpochMillis; }
+
   /// Endpoint renderers, public so tests can call them without sockets.
   std::string renderPrometheus() const;
   json::Value snapshotJson() const;
@@ -137,12 +148,34 @@ public:
   static std::string escapeLabelValue(const std::string &Value);
   static std::string escapeHelpText(const std::string &Value);
 
+  /// One retained trace linked to a latency value range — the OpenMetrics
+  /// "exemplar" shape: a recent concrete observation the metrics plane can
+  /// link back to the span plane. Valid=false marks an empty slot.
+  struct Exemplar {
+    double Value = 0;       ///< the trace's duration (µs)
+    uint64_t TraceHi = 0;   ///< wire-visible trace id, high half
+    uint64_t TraceLo = 0;   ///< wire-visible trace id, low half
+    uint64_t PinKey = 0;    ///< store-local retention key (local TraceLo)
+    uint64_t TimeNanos = 0; ///< when the trace ended (staleness filter)
+    bool Valid = false;
+  };
+
+  /// The sampler's exemplar step over freshly retained traces, oldest
+  /// first: each lands in its level's slot for its latency decade (most
+  /// recent wins), then slots whose trace ended before \p CutoffNanos are
+  /// emptied. Returns the pin keys of the slots still filled. Public so
+  /// tests can drive the slots with synthetic traces.
+  std::vector<uint64_t>
+  fileExemplars(const std::vector<SpanStore::RetainedSummary> &Fresh,
+                uint64_t CutoffNanos);
+  /// Level \p Level's valid exemplars, ascending value range.
+  std::vector<Exemplar> exemplars(unsigned Level) const;
+
 private:
   void samplerLoop();
-  void harvestLatencies();
-  /// Scans the span store for freshly retained traces, attaches them as
-  /// exemplars to the per-level windows, expires stale exemplars, and
-  /// re-pins the span store so every exported exemplar keeps resolving.
+  /// Files the span store's freshly retained traces as exemplars, expires
+  /// those older than the latency window, and re-pins the span store so
+  /// every exported exemplar keeps resolving.
   void harvestExemplars(uint64_t NowNanos);
   /// Pre-rendered Chrome-trace events for retained request spans ending
   /// at or after \p CutoffNanos (the /trace overlay).
@@ -153,13 +186,14 @@ private:
   repro::MetricsRegistry *Registry;
   http::HttpServer Server;
 
-  /// One response-latency window per priority level, fed by the sampler.
-  std::vector<std::unique_ptr<repro::WindowedHistogram>> Windows;
-  std::vector<std::size_t> Harvested; ///< per-level consumed sample count
-  uint64_t ExemplarScanNanos = 0;     ///< sampler's retained-trace cursor
+  /// One response-latency window ring per priority level, rotated by the
+  /// sampler.
+  std::vector<std::unique_ptr<repro::LatencyWindows>> Windows;
+  mutable std::mutex ExemplarMutex;
+  std::vector<std::vector<Exemplar>> Exemplars; ///< [level][slot]
+  uint64_t ExemplarScanNanos = 0; ///< sampler's retained-trace cursor
 
-  /// The health plane and its view over Windows (see health()).
-  std::unique_ptr<LatencyWindowSource> WindowAdapter;
+  /// The health plane (see health()); it reads Windows through this.
   std::unique_ptr<class Health> HealthPlane;
 
   /// I/O backends surfaced in /metrics (see trackIo). Guarded by IoMutex

@@ -1,198 +1,220 @@
-//===- support/Histogram.cpp - Fixed-bucket histogram ---------------------===//
+//===- support/Histogram.cpp - Log-linear latency histogram ---------------===//
 
 #include "support/Histogram.h"
 
 #include <algorithm>
-#include <cassert>
-#include <sstream>
+#include <bit>
+#include <cmath>
 
 namespace repro {
 
-Histogram::Histogram(double Lo, double Hi, std::size_t NumBuckets)
-    : Lo(Lo), Hi(Hi), Buckets(NumBuckets, 0) {
-  assert(Lo < Hi && "histogram range must be non-empty");
-  assert(NumBuckets > 0 && "histogram needs at least one bucket");
+namespace {
+
+constexpr auto Relaxed = std::memory_order_relaxed;
+
+/// std::clamp without its precondition: a histogram read while its writer
+/// runs may see min and max from different moments.
+double clampTo(double V, double Lo, double Hi) {
+  return std::min(std::max(V, Lo), Hi);
 }
 
-void Histogram::add(double Value) {
-  ++Total;
-  if (Value < Lo) {
-    ++Under;
+} // namespace
+
+double LatencyHistogram::maxTrackedMicros() {
+  return upperEdge(NumBuckets - 1);
+}
+
+std::size_t LatencyHistogram::bucketOf(double Micros) {
+  double Units = Micros * UnitsPerMicro;
+  if (!(Units >= 1.0)) // below one unit, or NaN
+    return 0;
+  constexpr double MaxUnits =
+      static_cast<double>(uint64_t(1) << (SubBucketBits + Octaves));
+  if (Units >= MaxUnits)
+    return NumBuckets - 1;
+  auto X = static_cast<uint64_t>(Units);
+  if (X < SubBuckets)
+    return static_cast<std::size_t>(X);
+  // X lies in [2^(S+k-1), 2^(S+k)) for octave k >= 1; shifting by k leaves
+  // a sub-bucket in [HalfBuckets, SubBuckets).
+  unsigned Shift = static_cast<unsigned>(std::bit_width(X)) - SubBucketBits;
+  return static_cast<std::size_t>(SubBuckets + (Shift - 1) * HalfBuckets +
+                                  ((X >> Shift) - HalfBuckets));
+}
+
+double LatencyHistogram::lowerEdge(std::size_t Index) {
+  if (Index < SubBuckets)
+    return static_cast<double>(Index) / UnitsPerMicro;
+  std::size_t Shift = (Index - SubBuckets) / HalfBuckets + 1;
+  uint64_t Sub = (Index - SubBuckets) % HalfBuckets + HalfBuckets;
+  return static_cast<double>(Sub << Shift) / UnitsPerMicro;
+}
+
+double LatencyHistogram::upperEdge(std::size_t Index) {
+  if (Index < SubBuckets)
+    return static_cast<double>(Index + 1) / UnitsPerMicro;
+  std::size_t Shift = (Index - SubBuckets) / HalfBuckets + 1;
+  uint64_t Sub = (Index - SubBuckets) % HalfBuckets + HalfBuckets;
+  return static_cast<double>((Sub + 1) << Shift) / UnitsPerMicro;
+}
+
+LatencyHistogram &LatencyHistogram::operator=(const LatencyHistogram &Other) {
+  if (this != &Other) {
+    reset();
+    merge(Other);
+  }
+  return *this;
+}
+
+void LatencyHistogram::record(double Micros) {
+  if (!(Micros >= 0))
+    Micros = 0;
+  std::atomic<uint64_t> &B = Buckets[bucketOf(Micros)];
+  uint64_t N = Count.load(Relaxed);
+  // Single writer: load-then-store, no read-modify-write instruction.
+  B.store(B.load(Relaxed) + 1, Relaxed);
+  Sum.store(Sum.load(Relaxed) + Micros, Relaxed);
+  if (N == 0 || Micros < Min.load(Relaxed))
+    Min.store(Micros, Relaxed);
+  if (N == 0 || Micros > Max.load(Relaxed))
+    Max.store(Micros, Relaxed);
+  // Release: a reader that acquires this count sees every bucket it covers.
+  Count.store(N + 1, std::memory_order_release);
+}
+
+void LatencyHistogram::merge(const LatencyHistogram &Other) {
+  uint64_t Theirs = Other.count();
+  if (Theirs == 0)
+    return;
+  for (std::size_t I = 0; I < NumBuckets; ++I)
+    if (uint64_t C = Other.Buckets[I].load(Relaxed))
+      Buckets[I].store(Buckets[I].load(Relaxed) + C, Relaxed);
+  uint64_t Mine = Count.load(Relaxed);
+  double OMin = Other.min(), OMax = Other.max();
+  Min.store(Mine == 0 ? OMin : std::min(min(), OMin), Relaxed);
+  Max.store(Mine == 0 ? OMax : std::max(max(), OMax), Relaxed);
+  Sum.store(sum() + Other.sum(), Relaxed);
+  Count.store(Mine + Theirs, std::memory_order_release);
+}
+
+void LatencyHistogram::subtract(const LatencyHistogram &Earlier) {
+  if (Earlier.count() == 0)
+    return;
+  uint64_t Left = 0;
+  std::size_t Lowest = NumBuckets, Highest = 0;
+  for (std::size_t I = 0; I < NumBuckets; ++I) {
+    uint64_t C = Buckets[I].load(Relaxed);
+    uint64_t E = Earlier.Buckets[I].load(Relaxed);
+    C = C > E ? C - E : 0;
+    Buckets[I].store(C, Relaxed);
+    if (C) {
+      Left += C;
+      Lowest = std::min(Lowest, I);
+      Highest = I;
+    }
+  }
+  if (Left == 0) {
+    reset();
     return;
   }
-  if (Value >= Hi) {
-    ++Over;
-    return;
-  }
-  double Frac = (Value - Lo) / (Hi - Lo);
-  auto Index = static_cast<std::size_t>(Frac * static_cast<double>(Buckets.size()));
-  Index = std::min(Index, Buckets.size() - 1);
-  ++Buckets[Index];
+  Min.store(std::max(min(), lowerEdge(Lowest)), Relaxed);
+  Max.store(std::min(max(), upperEdge(Highest)), Relaxed);
+  Sum.store(std::max(0.0, sum() - Earlier.sum()), Relaxed);
+  Count.store(Left, std::memory_order_release);
 }
 
-bool Histogram::merge(const Histogram &Other) {
-  if (Other.Lo != Lo || Other.Hi != Hi ||
-      Other.Buckets.size() != Buckets.size())
-    return false;
-  for (std::size_t I = 0; I < Buckets.size(); ++I)
-    Buckets[I] += Other.Buckets[I];
-  Under += Other.Under;
-  Over += Other.Over;
-  Total += Other.Total;
-  return true;
+void LatencyHistogram::reset() {
+  for (std::atomic<uint64_t> &B : Buckets)
+    B.store(0, Relaxed);
+  Sum.store(0, Relaxed);
+  Min.store(0, Relaxed);
+  Max.store(0, Relaxed);
+  Count.store(0, std::memory_order_release);
 }
 
-void Histogram::reset() {
-  std::fill(Buckets.begin(), Buckets.end(), 0);
-  Under = Over = Total = 0;
+double LatencyHistogram::mean() const {
+  uint64_t N = count();
+  return N ? sum() / static_cast<double>(N) : 0.0;
 }
 
-double Histogram::quantile(double Q) const {
-  if (Total == 0)
+double LatencyHistogram::quantile(double Q) const {
+  uint64_t N = count();
+  if (N == 0)
     return 0.0;
-  Q = std::min(std::max(Q, 0.0), 1.0);
-  double Rank = Q * static_cast<double>(Total);
-  double Cum = static_cast<double>(Under);
-  if (Rank <= Cum)
-    return Lo;
-  double Width = (Hi - Lo) / static_cast<double>(Buckets.size());
-  for (std::size_t I = 0; I < Buckets.size(); ++I) {
-    double C = static_cast<double>(Buckets[I]);
-    if (C > 0 && Rank <= Cum + C)
-      return bucketLowerEdge(I) + Width * ((Rank - Cum) / C);
-    Cum += C;
+  Q = std::clamp(Q, 0.0, 1.0);
+  auto Rank = static_cast<uint64_t>(std::ceil(Q * static_cast<double>(N - 1)));
+  uint64_t Cum = 0;
+  for (std::size_t I = 0; I < NumBuckets; ++I) {
+    Cum += Buckets[I].load(Relaxed);
+    if (Cum > Rank)
+      return clampTo(upperEdge(I), min(), max());
   }
-  return Hi; // rank falls in the overflow bucket
+  return max();
 }
 
-double Histogram::fractionAbove(double Value) const {
-  if (Total == 0)
+double LatencyHistogram::fractionAbove(double Micros) const {
+  uint64_t N = count();
+  if (N == 0 || Micros >= max())
     return 0.0;
-  if (Value < Lo)
-    return static_cast<double>(Total - Under) / static_cast<double>(Total);
-  if (Value >= Hi) // overflow observations are all the histogram can
-    return static_cast<double>(Over) / static_cast<double>(Total); // place above Hi
-  double Width = (Hi - Lo) / static_cast<double>(Buckets.size());
-  auto Index = static_cast<std::size_t>((Value - Lo) / (Hi - Lo) *
-                                        static_cast<double>(Buckets.size()));
-  Index = std::min(Index, Buckets.size() - 1);
-  // Whole buckets above the containing one, plus overflow, plus the part
-  // of the containing bucket past Value (uniform-within-bucket estimate).
-  double Above = static_cast<double>(Over);
-  for (std::size_t I = Index + 1; I < Buckets.size(); ++I)
-    Above += static_cast<double>(Buckets[I]);
-  double InBucket = static_cast<double>(Buckets[Index]);
-  double FracPast = (bucketLowerEdge(Index) + Width - Value) / Width;
-  Above += InBucket * std::min(std::max(FracPast, 0.0), 1.0);
-  return Above / static_cast<double>(Total);
+  if (Micros < min())
+    return 1.0;
+  std::size_t Own = bucketOf(Micros);
+  double Above = 0;
+  for (std::size_t I = Own + 1; I < NumBuckets; ++I)
+    Above += static_cast<double>(Buckets[I].load(Relaxed));
+  double Lo = lowerEdge(Own), Hi = upperEdge(Own);
+  double Past = std::clamp((Hi - Micros) / (Hi - Lo), 0.0, 1.0);
+  Above += static_cast<double>(Buckets[Own].load(Relaxed)) * Past;
+  return std::min(1.0, Above / static_cast<double>(N));
 }
 
-double Histogram::bucketLowerEdge(std::size_t Index) const {
-  return Lo + (Hi - Lo) * static_cast<double>(Index) /
-                  static_cast<double>(Buckets.size());
+LatencySummary LatencyHistogram::summary() const {
+  LatencySummary S;
+  S.Count = count();
+  if (S.Count == 0)
+    return S;
+  S.Mean = mean();
+  S.Min = min();
+  S.Max = max();
+  S.P50 = quantile(0.50);
+  S.P95 = quantile(0.95);
+  S.P99 = quantile(0.99);
+  S.P999 = quantile(0.999);
+  double Var = 0;
+  for (std::size_t I = 0; I < NumBuckets; ++I)
+    if (uint64_t C = Buckets[I].load(Relaxed)) {
+      double Mid = clampTo((lowerEdge(I) + upperEdge(I)) / 2, S.Min, S.Max);
+      Var += static_cast<double>(C) * (Mid - S.Mean) * (Mid - S.Mean);
+    }
+  S.StdDev = std::sqrt(Var / static_cast<double>(S.Count));
+  return S;
 }
 
-std::string Histogram::render(std::size_t Width) const {
-  uint64_t MaxCount = 1;
-  for (uint64_t C : Buckets)
-    MaxCount = std::max(MaxCount, C);
-  std::ostringstream OS;
-  for (std::size_t I = 0; I < Buckets.size(); ++I) {
-    auto BarLen = static_cast<std::size_t>(
-        static_cast<double>(Buckets[I]) / static_cast<double>(MaxCount) *
-        static_cast<double>(Width));
-    OS << bucketLowerEdge(I) << "\t" << Buckets[I] << "\t"
-       << std::string(BarLen, '#') << "\n";
+LatencyWindows::LatencyWindows(unsigned Epochs,
+                               const LatencyHistogram &Opened)
+    : Marks(std::max(1u, Epochs)) {
+  Marks[0] = Opened;
+}
+
+void LatencyWindows::rotate(const LatencyHistogram &Now,
+                            uint64_t Boundaries) {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  for (uint64_t I = 0; I < std::min<uint64_t>(Boundaries, Marks.size());
+       ++I) {
+    Newest = (Newest + 1) % Marks.size();
+    Marks[Newest] = Now;
+    Filled = std::min(Filled + 1, Marks.size());
   }
-  if (Under)
-    OS << "(underflow " << Under << ")\n";
-  if (Over)
-    OS << "(overflow " << Over << ")\n";
-  return OS.str();
 }
 
-WindowedHistogram::WindowedHistogram(double Lo, double Hi,
-                                     std::size_t NumBuckets,
-                                     std::size_t NumEpochs,
-                                     std::size_t ExemplarSlots)
-    : Lo(Lo), Hi(Hi) {
-  assert(NumEpochs > 0 && "window needs at least one epoch");
-  Epochs.reserve(NumEpochs);
-  for (std::size_t I = 0; I < NumEpochs; ++I)
-    Epochs.emplace_back(Lo, Hi, NumBuckets);
-  if (ExemplarSlots > 0)
-    Exemplars.resize(ExemplarSlots + 1); // +1: the >= Hi overflow slot
-}
-
-void WindowedHistogram::record(double Value) {
+LatencyHistogram LatencyWindows::window(const LatencyHistogram &Now,
+                                        unsigned LastEpochs) const {
+  LatencyHistogram Out(Now);
   std::lock_guard<std::mutex> Lock(Mutex);
-  Epochs[Current].add(Value);
-}
-
-void WindowedHistogram::rotate() {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  Current = (Current + 1) % Epochs.size();
-  Epochs[Current].reset(); // the reused slot was the oldest epoch
-}
-
-Histogram WindowedHistogram::merged() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  Histogram Out = Epochs[0];
-  for (std::size_t I = 1; I < Epochs.size(); ++I)
-    Out.merge(Epochs[I]);
+  std::size_t K = LastEpochs ? LastEpochs : Marks.size();
+  K = std::clamp<std::size_t>(K, 1, Filled);
+  Out.subtract(Marks[(Newest + Marks.size() - (K - 1)) % Marks.size()]);
   return Out;
-}
-
-Histogram WindowedHistogram::mergedLast(std::size_t K) const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  K = std::max<std::size_t>(1, std::min(K, Epochs.size()));
-  // Walk the ring backwards from the current epoch: Current, Current-1, …
-  std::size_t First = (Current + Epochs.size() - (K - 1)) % Epochs.size();
-  Histogram Out = Epochs[First];
-  for (std::size_t I = 1; I < K; ++I)
-    Out.merge(Epochs[(First + I) % Epochs.size()]);
-  return Out;
-}
-
-void WindowedHistogram::noteExemplar(double Value, uint64_t TraceHi,
-                                     uint64_t TraceLo, uint64_t PinKey,
-                                     uint64_t TimeNanos) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  if (Exemplars.empty())
-    return;
-  std::size_t ValueSlots = Exemplars.size() - 1;
-  std::size_t Slot = ValueSlots; // the >= Hi overflow slot
-  if (Value < Hi) {
-    double Frac = Value <= Lo ? 0.0 : (Value - Lo) / (Hi - Lo);
-    Slot = std::min(static_cast<std::size_t>(
-                        Frac * static_cast<double>(ValueSlots)),
-                    ValueSlots - 1);
-  }
-  Exemplars[Slot] = {Value, TraceHi, TraceLo, PinKey, TimeNanos, true};
-}
-
-std::vector<HistogramExemplar> WindowedHistogram::exemplars() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  std::vector<HistogramExemplar> Out;
-  for (const HistogramExemplar &E : Exemplars)
-    if (E.Valid)
-      Out.push_back(E);
-  return Out;
-}
-
-void WindowedHistogram::expireExemplars(uint64_t CutoffNanos) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  for (HistogramExemplar &E : Exemplars)
-    if (E.Valid && E.TimeNanos < CutoffNanos)
-      E = HistogramExemplar{};
-}
-
-uint64_t WindowedHistogram::windowTotal() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  uint64_t Sum = 0;
-  for (const Histogram &H : Epochs)
-    Sum += H.total();
-  return Sum;
 }
 
 } // namespace repro

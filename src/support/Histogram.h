@@ -1,154 +1,146 @@
-//===- support/Histogram.h - Fixed-bucket histogram -------------*- C++ -*-===//
+//===- support/Histogram.h - Log-linear latency histogram -------*- C++ -*-===//
 //
 // Part of icilk-repro, a reproduction of "Responsive Parallelism with
 // Futures and State" (PLDI 2020).
 //
 //===----------------------------------------------------------------------===//
 //
-// A simple linear-bucket histogram used by the benchmark harnesses to show
-// latency distributions as ASCII bar charts, and by tests to assert on
-// distribution shapes (e.g., exponential inter-arrival times for the
-// jserver Poisson workload).
+// The one latency store of the repository. LatencyHistogram is an
+// HDR-style log-linear histogram over microseconds: a fixed array of 4352
+// buckets (34 KiB) whose width is at most 1/128 (0.78%) of their lower
+// edge from 1 µs to over two hours, plus exact count, sum, min and max.
+// Recording is a few plain stores, memory is fixed at construction however
+// many samples arrive, and histograms merge bucket by bucket, so the
+// runtime keeps one per worker and readers add them up.
 //
-// WindowedHistogram layers time-windowing on top: a ring of per-epoch
-// histograms, rotated on a tick, whose merge reports quantiles over the
-// last N epochs instead of cumulatively — the shape the live-telemetry
-// surface (icilk/Telemetry.h) exposes as /latency.json. It is the one
-// thread-safe type here: a sampler records while the HTTP thread reads.
+// LatencyWindows turns a cumulative histogram into sliding time windows
+// without keeping a second copy of anything: at each epoch boundary it
+// snapshots the cumulative counts, and a window is the counts now minus
+// the snapshot taken when the window opened. Telemetry, the admission
+// controller and the health plane all read their windows this way, so
+// two readers of the same interval see identical counts.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef REPRO_SUPPORT_HISTOGRAM_H
 #define REPRO_SUPPORT_HISTOGRAM_H
 
+#include "support/Stats.h"
+
+#include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
-#include <string>
 #include <vector>
 
 namespace repro {
 
-/// One retained trace-id sample attached to a histogram value range — the
-/// OpenMetrics "exemplar" shape: a recent concrete observation (with its
-/// trace id and timestamp) that the metrics plane can link back to the
-/// span plane. Valid=false marks an empty slot.
-struct HistogramExemplar {
-  double Value = 0;        ///< the observed value (same unit as the histogram)
-  uint64_t TraceHi = 0;    ///< wire-visible trace id, high half
-  uint64_t TraceLo = 0;    ///< wire-visible trace id, low half
-  uint64_t PinKey = 0;     ///< store-local retention key (local TraceLo)
-  uint64_t TimeNanos = 0;  ///< when the trace ended (staleness filter)
-  bool Valid = false;
-};
-
-/// Linear histogram over [Lo, Hi) with a fixed number of buckets; values
-/// outside the range land in saturating under/overflow buckets.
-class Histogram {
+/// Log-linear histogram of latencies in microseconds. Values below 2 µs
+/// fall in linear buckets 1/128 µs wide; above, each power of two is split
+/// into 128 equal buckets. Values past maxTrackedMicros() (~2.4 h) share
+/// the last bucket; max() stays exact.
+///
+/// Thread contract: at most one thread modifies a histogram at a time
+/// (record, merge into it, subtract, assignment); any number of
+/// threads may read it meanwhile (count, quantile, copy, merge from it).
+/// A reader racing the writer sees a count that may lag the buckets by the
+/// samples in flight, never one ahead of them. The runtime relies on this
+/// to keep one lock-free shard per worker.
+class LatencyHistogram {
 public:
-  Histogram(double Lo, double Hi, std::size_t NumBuckets);
+  LatencyHistogram() = default;
+  LatencyHistogram(const LatencyHistogram &Other) { merge(Other); }
+  LatencyHistogram &operator=(const LatencyHistogram &Other);
 
-  /// Adds one observation.
-  void add(double Value);
+  /// Adds one observation; negative and NaN values count as 0.
+  void record(double Micros);
 
-  /// Adds \p Other's counts bucket-for-bucket. Requires an identical shape
-  /// (same range and bucket count); returns false and changes nothing on a
-  /// mismatch.
-  bool merge(const Histogram &Other);
+  /// Adds \p Other's observations.
+  void merge(const LatencyHistogram &Other);
 
-  /// Drops every observation; the shape is kept.
-  void reset();
+  /// Removes \p Earlier's observations, where \p Earlier is an earlier
+  /// snapshot of this same cumulative histogram, leaving what was recorded
+  /// since. Buckets never go below zero. Min and max narrow to the edges
+  /// of the lowest and highest buckets still holding samples.
+  void subtract(const LatencyHistogram &Earlier);
 
-  /// Estimated \p Q quantile (0..1) by linear interpolation inside the
-  /// containing bucket. Underflow counts report Lo, overflow counts Hi
-  /// (the histogram cannot see past its range). 0 when empty.
+  uint64_t count() const { return Count.load(std::memory_order_acquire); }
+  double sum() const { return Sum.load(std::memory_order_relaxed); }
+  double min() const { return Min.load(std::memory_order_relaxed); }
+  double max() const { return Max.load(std::memory_order_relaxed); }
+  double mean() const;
+
+  /// The \p Q quantile (0..1): the upper edge of the bucket holding the
+  /// sample of rank ceil(Q·(count−1)), clamped to [min, max]. Never below
+  /// that sample and at most 0.78% above it (from 1 µs up). 0 when empty.
   double quantile(double Q) const;
 
-  /// Estimated fraction of observations strictly above \p Value (0..1,
-  /// interpolating inside the containing bucket; overflow counts as
-  /// above, underflow as below). The SLO burn-rate input: with target T,
-  /// fractionAbove(T) is the error fraction of the window. 0 when empty.
-  double fractionAbove(double Value) const;
+  /// Fraction of observations strictly above \p Micros (0..1), counting
+  /// the part of \p Micros's own bucket past it as if its samples were
+  /// spread evenly. The SLO burn-rate input. 0 when empty.
+  double fractionAbove(double Micros) const;
 
-  /// Total number of observations, including out-of-range ones.
-  uint64_t total() const { return Total; }
+  /// Count, mean, min, max, p50/p95/p99/p999, and a standard deviation
+  /// taken from bucket midpoints.
+  LatencySummary summary() const;
 
-  double lo() const { return Lo; }
-  double hi() const { return Hi; }
-
-  /// Count in bucket \p Index (0..numBuckets()-1).
-  uint64_t bucketCount(std::size_t Index) const { return Buckets[Index]; }
-  uint64_t underflow() const { return Under; }
-  uint64_t overflow() const { return Over; }
-  std::size_t numBuckets() const { return Buckets.size(); }
-
-  /// Lower edge of bucket \p Index.
-  double bucketLowerEdge(std::size_t Index) const;
-
-  /// Renders an ASCII bar chart, \p Width characters at the widest bar.
-  std::string render(std::size_t Width = 50) const;
+  static double maxTrackedMicros();
 
 private:
-  double Lo, Hi;
-  std::vector<uint64_t> Buckets;
-  uint64_t Under = 0, Over = 0, Total = 0;
+  static constexpr unsigned SubBucketBits = 8;
+  static constexpr uint64_t SubBuckets = uint64_t(1) << SubBucketBits;
+  static constexpr uint64_t HalfBuckets = SubBuckets / 2;
+  /// Bucket units per microsecond: one linear bucket is 1/128 µs, so at
+  /// 1 µs a bucket is 1/128 of its value wide, as in every octave above.
+  static constexpr double UnitsPerMicro = static_cast<double>(HalfBuckets);
+  /// Octaves above the linear region; 2^(SubBucketBits+Octaves) units is
+  /// 2^33 µs, about 2.4 hours.
+  static constexpr unsigned Octaves = 32;
+  static constexpr std::size_t NumBuckets = SubBuckets + Octaves * HalfBuckets;
+
+  /// Drops every observation.
+  void reset();
+
+  static std::size_t bucketOf(double Micros);
+  static double lowerEdge(std::size_t Index);
+  static double upperEdge(std::size_t Index);
+
+  std::atomic<uint64_t> Count{0};
+  std::atomic<double> Sum{0}, Min{0}, Max{0};
+  std::array<std::atomic<uint64_t>, NumBuckets> Buckets{};
 };
 
-/// A ring of per-epoch histograms: record() fills the current epoch,
-/// rotate() advances the ring (clearing the slot it reuses, which expires
-/// the oldest epoch), and merged() reports the union of every live epoch.
-/// With NumEpochs epochs rotated every T seconds, merged() covers the last
-/// NumEpochs×T seconds — never the whole run. Thread-safe.
-class WindowedHistogram {
+/// Sliding windows over one cumulative LatencyHistogram. The owner calls
+/// rotate() at epoch boundaries with the cumulative histogram at that
+/// moment; window() then returns the observations of the last K epochs
+/// (the current, partial one counts as one) as the counts now minus the
+/// snapshot taken K boundaries ago — or the one taken when the windows
+/// opened, while fewer boundaries have passed. Keeps \p Epochs snapshots.
+/// Thread-safe.
+class LatencyWindows {
 public:
-  /// \p ExemplarSlots > 0 additionally keeps that many coarse value-range
-  /// exemplar slots (plus one overflow slot) spanning [Lo, Hi): each slot
-  /// retains the most recent exemplar whose value falls in its range, so
-  /// the exported latency buckets can link to a recent tail trace. 0
-  /// disables exemplar storage entirely.
-  WindowedHistogram(double Lo, double Hi, std::size_t NumBuckets,
-                    std::size_t NumEpochs, std::size_t ExemplarSlots = 0);
+  /// \p Opened is the cumulative histogram when the windows open.
+  LatencyWindows(unsigned Epochs, const LatencyHistogram &Opened);
 
-  /// Records one observation into the current epoch.
-  void record(double Value);
+  /// Closes \p Boundaries epochs at once (a late tick); \p Now is the
+  /// cumulative histogram. The first closed epoch holds everything since
+  /// the previous rotation; the others read as empty.
+  void rotate(const LatencyHistogram &Now, uint64_t Boundaries = 1);
 
-  /// Advances to the next epoch, expiring the oldest one.
-  void rotate();
+  /// Observations of the last \p LastEpochs epochs, clamped to
+  /// [1, epochs()]; 0 means all of them. \p Now is the cumulative
+  /// histogram.
+  LatencyHistogram window(const LatencyHistogram &Now,
+                          unsigned LastEpochs = 0) const;
 
-  /// Merge of all live epochs (a copy; safe while recording continues).
-  Histogram merged() const;
-
-  /// Merge of the most recent \p K epochs only (the current one counts as
-  /// one). K is clamped to [1, numEpochs()]. The fast/slow SLO windows
-  /// read the same ring at two depths through this.
-  Histogram mergedLast(std::size_t K) const;
-
-  /// Observations currently inside the window.
-  uint64_t windowTotal() const;
-
-  std::size_t numEpochs() const { return Epochs.size(); }
-
-  /// Attaches an exemplar to the slot covering \p Value (most recent
-  /// wins). No-op when exemplar slots are disabled.
-  void noteExemplar(double Value, uint64_t TraceHi, uint64_t TraceLo,
-                    uint64_t PinKey, uint64_t TimeNanos);
-
-  /// Every currently-valid exemplar, slot order (ascending value range,
-  /// overflow last). Empty when disabled.
-  std::vector<HistogramExemplar> exemplars() const;
-
-  /// Drops exemplars whose TimeNanos is older than \p CutoffNanos, so the
-  /// export never links to traces outside the live window.
-  void expireExemplars(uint64_t CutoffNanos);
-
-  std::size_t numExemplarSlots() const { return Exemplars.size(); }
+  unsigned epochs() const { return static_cast<unsigned>(Marks.size()); }
 
 private:
   mutable std::mutex Mutex;
-  std::vector<Histogram> Epochs;
-  std::size_t Current = 0;
-  double Lo = 0, Hi = 1;
-  std::vector<HistogramExemplar> Exemplars; ///< empty when disabled
+  std::vector<LatencyHistogram> Marks; ///< ring of epoch-start snapshots
+  std::size_t Newest = 0;              ///< the current epoch's start
+  std::size_t Filled = 1;              ///< snapshots taken so far (≤ size)
 };
 
 } // namespace repro

@@ -14,7 +14,7 @@
 //
 // Handlers run on the server thread, concurrently with the workload, so
 // they must only touch thread-safe surfaces (Runtime::snapshot(),
-// MetricsRegistry, EventLog::snapshot(), WindowedHistogram — all built
+// MetricsRegistry, EventLog::snapshot(), Runtime::latency() — all built
 // for exactly this).
 //
 //===----------------------------------------------------------------------===//

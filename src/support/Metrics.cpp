@@ -8,24 +8,25 @@
 
 namespace repro {
 
-json::Value MetricsRegistry::LatencyHistogram::toJson() const {
-  std::lock_guard<std::mutex> Lock(M);
+namespace {
+
+json::Value histogramJson(const LatencyHistogram &H) {
+  LatencySummary S = H.summary();
   json::Value Out = json::Value::object();
-  Out.set("count", json::Value(H.total()));
-  if (H.total() > 0) {
-    Out.set("min", json::Value(Min));
-    Out.set("max", json::Value(Max));
-    Out.set("mean", json::Value(Sum / static_cast<double>(H.total())));
+  Out.set("count", json::Value(static_cast<uint64_t>(S.Count)));
+  if (S.Count > 0) {
+    Out.set("min", json::Value(S.Min));
+    Out.set("max", json::Value(S.Max));
+    Out.set("mean", json::Value(S.Mean));
+    Out.set("p50", json::Value(S.P50));
+    Out.set("p95", json::Value(S.P95));
+    Out.set("p99", json::Value(S.P99));
+    Out.set("p999", json::Value(S.P999));
   }
-  Out.set("lo", json::Value(H.bucketLowerEdge(0)));
-  json::Value Buckets = json::Value::array();
-  for (std::size_t I = 0; I < H.numBuckets(); ++I)
-    Buckets.push(json::Value(H.bucketCount(I)));
-  Out.set("buckets", std::move(Buckets));
-  Out.set("underflow", json::Value(H.underflow()));
-  Out.set("overflow", json::Value(H.overflow()));
   return Out;
 }
+
+} // namespace
 
 MetricsRegistry::Counter &MetricsRegistry::counter(const std::string &Name) {
   std::lock_guard<std::mutex> Lock(Mutex);
@@ -40,14 +41,10 @@ void MetricsRegistry::setGauge(const std::string &Name, double Value) {
   Gauges[Name] = Value;
 }
 
-MetricsRegistry::LatencyHistogram &
-MetricsRegistry::histogram(const std::string &Name, double Lo, double Hi,
-                           std::size_t Buckets) {
+void MetricsRegistry::setHistogram(const std::string &Name,
+                                   const LatencyHistogram &H) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  auto &Slot = Histograms[Name];
-  if (!Slot)
-    Slot = std::make_unique<LatencyHistogram>(Lo, Hi, Buckets);
-  return *Slot;
+  Histograms.insert_or_assign(Name, H);
 }
 
 std::map<std::string, uint64_t> MetricsRegistry::counters() const {
@@ -64,17 +61,13 @@ std::map<std::string, double> MetricsRegistry::gauges() const {
 }
 
 json::Value MetricsRegistry::toJson() const {
-  // Take stable copies first; histogram serialization takes per-histogram
-  // locks and must not run under the registry mutex in a fixed order with
-  // recorders (they lock only the histogram, so ordering is safe — this is
-  // just tidier).
   std::map<std::string, uint64_t> Cs = counters();
   std::map<std::string, double> Gs = gauges();
-  std::vector<std::pair<std::string, LatencyHistogram *>> Hs;
+  json::Value H = json::Value::object();
   {
     std::lock_guard<std::mutex> Lock(Mutex);
-    for (const auto &[Name, H] : Histograms)
-      Hs.emplace_back(Name, H.get());
+    for (const auto &[Name, Histo] : Histograms)
+      H.set(Name, histogramJson(Histo));
   }
   json::Value Out = json::Value::object();
   json::Value C = json::Value::object();
@@ -85,9 +78,6 @@ json::Value MetricsRegistry::toJson() const {
   for (const auto &[Name, V] : Gs)
     G.set(Name, json::Value(V));
   Out.set("gauges", std::move(G));
-  json::Value H = json::Value::object();
-  for (const auto &[Name, Histo] : Hs)
-    H.set(Name, Histo->toJson());
   Out.set("histograms", std::move(H));
   return Out;
 }
@@ -98,14 +88,9 @@ std::string MetricsRegistry::toString() const {
     OS << Name << " = " << V << "\n";
   for (const auto &[Name, V] : gauges())
     OS << Name << " = " << formatFixed(V, 3) << "\n";
-  std::vector<std::pair<std::string, LatencyHistogram *>> Hs;
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    for (const auto &[Name, H] : Histograms)
-      Hs.emplace_back(Name, H.get());
-  }
-  for (const auto &[Name, H] : Hs)
-    OS << Name << ": n=" << H->count() << "\n";
+  std::lock_guard<std::mutex> Lock(Mutex);
+  for (const auto &[Name, H] : Histograms)
+    OS << Name << ": n=" << H.count() << "\n";
   return OS.str();
 }
 

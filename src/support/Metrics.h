@@ -13,7 +13,7 @@
 // hand-rolling its own reporting struct.
 //
 // Counter increments are lock-free (a relaxed atomic add on a handle the
-// caller looked up once); registration and histogram recording take a
+// caller looked up once); registration and storing a histogram take a
 // mutex and belong on sampling paths, not per-task hot paths. The
 // registry serializes to JSON (bench::Reporter embeds it in
 // BENCH_<name>.json) and to a human-readable listing.
@@ -26,19 +26,17 @@
 #include "support/Histogram.h"
 #include "support/Json.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 namespace repro {
 
 /// Registry of named counters / gauges / histograms. Handles returned by
-/// counter() and histogram() stay valid for the registry's lifetime.
+/// counter() stay valid for the registry's lifetime.
 class MetricsRegistry {
 public:
   /// Monotonic counter; add() is lock-free and thread-safe.
@@ -53,42 +51,6 @@ public:
     std::atomic<uint64_t> V{0};
   };
 
-  /// Mutex-guarded latency histogram (support/Histogram is not itself
-  /// thread-safe) plus running min/max/sum for a cheap summary.
-  class LatencyHistogram {
-  public:
-    LatencyHistogram(double Lo, double Hi, std::size_t Buckets)
-        : H(Lo, Hi, Buckets) {}
-
-    void record(double Value) {
-      std::lock_guard<std::mutex> Lock(M);
-      H.add(Value);
-      Sum += Value;
-      Min = H.total() == 1 ? Value : std::min(Min, Value);
-      Max = std::max(Max, Value);
-    }
-    void recordAll(const std::vector<double> &Values) {
-      for (double V : Values)
-        record(V);
-    }
-
-    uint64_t count() const {
-      std::lock_guard<std::mutex> Lock(M);
-      return H.total();
-    }
-    /// Copy of the underlying histogram (for rendering / assertions).
-    Histogram snapshot() const {
-      std::lock_guard<std::mutex> Lock(M);
-      return H;
-    }
-    json::Value toJson() const;
-
-  private:
-    mutable std::mutex M;
-    Histogram H;
-    double Sum = 0, Min = 0, Max = 0;
-  };
-
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry &) = delete;
   MetricsRegistry &operator=(const MetricsRegistry &) = delete;
@@ -99,17 +61,17 @@ public:
   /// Sets the point-in-time gauge \p Name to \p Value.
   void setGauge(const std::string &Name, double Value);
 
-  /// Returns the histogram named \p Name, creating it with the given shape
-  /// on first use (later calls ignore the shape parameters).
-  LatencyHistogram &histogram(const std::string &Name, double Lo, double Hi,
-                              std::size_t Buckets);
+  /// Stores a copy of \p H as the histogram \p Name, replacing any
+  /// earlier one (a sampled copy of a latency store such as
+  /// Runtime::latency()).
+  void setHistogram(const std::string &Name, const LatencyHistogram &H);
 
   /// Snapshot views (copies; safe while writers keep writing to counters).
   std::map<std::string, uint64_t> counters() const;
   std::map<std::string, double> gauges() const;
 
   /// {"counters": {...}, "gauges": {...}, "histograms": {name: {count,
-  /// min, max, mean, buckets: [...]}}}
+  /// min, max, mean, p50, p95, p99, p999}}}
   json::Value toJson() const;
 
   /// Human-readable multi-line listing, sorted by name.
@@ -119,7 +81,7 @@ private:
   mutable std::mutex Mutex;
   std::map<std::string, std::unique_ptr<Counter>> Counters;
   std::map<std::string, double> Gauges;
-  std::map<std::string, std::unique_ptr<LatencyHistogram>> Histograms;
+  std::map<std::string, LatencyHistogram> Histograms;
 };
 
 } // namespace repro

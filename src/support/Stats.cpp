@@ -50,102 +50,6 @@ LatencySummary summarize(std::vector<double> Samples) {
   return S;
 }
 
-void LatencyRecorder::record(double Value) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  Samples.push_back(Value);
-}
-
-void LatencyRecorder::recordAll(const std::vector<double> &Values) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  Samples.insert(Samples.end(), Values.begin(), Values.end());
-}
-
-std::size_t LatencyRecorder::count() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Samples.size();
-}
-
-std::vector<double> LatencyRecorder::samples() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Samples;
-}
-
-std::vector<double> LatencyRecorder::samplesSince(std::size_t Start) const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  if (Start >= Samples.size())
-    return {};
-  return std::vector<double>(Samples.begin() +
-                                 static_cast<std::ptrdiff_t>(Start),
-                             Samples.end());
-}
-
-LatencySummary LatencyRecorder::summary() const { return summarize(samples()); }
-
-void LatencyRecorder::clear() {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  Samples.clear();
-}
-
-ShardedLatencyRecorder::ShardedLatencyRecorder(unsigned NumShardsIn)
-    : NumShards(NumShardsIn == 0 ? 1 : NumShardsIn),
-      Shards(std::make_unique<Shard[]>(NumShards)), Harvested(NumShards, 0) {}
-
-void ShardedLatencyRecorder::record(unsigned ShardIdx, double Value) {
-  assert(ShardIdx < NumShards && "shard index out of range");
-  Shard &S = Shards[ShardIdx];
-  std::size_t N = S.Count.load(std::memory_order_relaxed);
-  if (N % ChunkSize == 0) {
-    // Cold: grow the chunk table under the mutex so a concurrent reader
-    // never sees the vector reallocate mid-traversal.
-    std::lock_guard<std::mutex> Lock(S.ChunkMutex);
-    S.Chunks.push_back(std::make_unique<double[]>(ChunkSize));
-  }
-  S.Chunks[N / ChunkSize][N % ChunkSize] = Value;
-  // The release publish pairs with readers' acquire of Count: slots below
-  // the published count are fully written.
-  S.Count.store(N + 1, std::memory_order_release);
-}
-
-void ShardedLatencyRecorder::harvestLocked() const {
-  for (std::size_t I = 0; I < NumShards; ++I) {
-    const Shard &S = Shards[I];
-    std::size_t N = S.Count.load(std::memory_order_acquire);
-    if (N == Harvested[I])
-      continue;
-    std::lock_guard<std::mutex> Lock(S.ChunkMutex);
-    for (std::size_t J = Harvested[I]; J < N; ++J)
-      Merged.push_back(S.Chunks[J / ChunkSize][J % ChunkSize]);
-    Harvested[I] = N;
-  }
-}
-
-std::size_t ShardedLatencyRecorder::count() const {
-  std::lock_guard<std::mutex> Lock(MergeMutex);
-  harvestLocked();
-  return Merged.size();
-}
-
-std::vector<double> ShardedLatencyRecorder::samples() const {
-  std::lock_guard<std::mutex> Lock(MergeMutex);
-  harvestLocked();
-  return Merged;
-}
-
-std::vector<double> ShardedLatencyRecorder::samplesSince(
-    std::size_t Start) const {
-  std::lock_guard<std::mutex> Lock(MergeMutex);
-  harvestLocked();
-  if (Start >= Merged.size())
-    return {};
-  return std::vector<double>(Merged.begin() +
-                                 static_cast<std::ptrdiff_t>(Start),
-                             Merged.end());
-}
-
-LatencySummary ShardedLatencyRecorder::summary() const {
-  return summarize(samples());
-}
-
 std::string toString(const LatencySummary &S) {
   std::ostringstream OS;
   OS << "n=" << S.Count << " mean=" << S.Mean << " p50=" << S.P50

@@ -6,19 +6,17 @@
 //===----------------------------------------------------------------------===//
 //
 // The paper's evaluation reports per-priority-level average and
-// 95th-percentile response and compute times (Figs. 13 and 14).
-// LatencyRecorder collects raw samples (microseconds as doubles) and
-// computes those summaries. It is safe to record from many threads.
+// 95th-percentile response and compute times (Figs. 13 and 14). This
+// header holds the summary those figures print and the exact quantile of
+// a sample vector; support/Histogram.h is where latencies are recorded,
+// and its tests check it against quantile() here.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef REPRO_SUPPORT_STATS_H
 #define REPRO_SUPPORT_STATS_H
 
-#include <atomic>
 #include <cstddef>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -46,99 +44,6 @@ double quantileSorted(const std::vector<double> &Sorted, double Q);
 
 /// Summarizes a raw sample vector.
 LatencySummary summarize(std::vector<double> Samples);
-
-/// Thread-safe accumulator for latency samples.
-class LatencyRecorder {
-public:
-  LatencyRecorder() = default;
-
-  /// Records one sample (any unit; callers use microseconds).
-  void record(double Value);
-
-  /// Records a batch of samples.
-  void recordAll(const std::vector<double> &Values);
-
-  /// Number of samples recorded so far.
-  std::size_t count() const;
-
-  /// Snapshot of all samples.
-  std::vector<double> samples() const;
-
-  /// Samples recorded at index \p Start and later (the recorder only ever
-  /// appends, so a caller tracking its consumed count gets exactly the new
-  /// samples) — the incremental harvest the telemetry sampler uses instead
-  /// of copying the whole history every tick.
-  std::vector<double> samplesSince(std::size_t Start) const;
-
-  /// Computes the summary over a snapshot of current samples.
-  LatencySummary summary() const;
-
-  /// Drops all samples.
-  void clear();
-
-private:
-  mutable std::mutex Mutex;
-  std::vector<double> Samples;
-};
-
-/// Latency accumulator sharded for write-side scalability: recording is a
-/// couple of plain stores plus one release publish on the caller's own
-/// shard — no lock and no shared cache line — while the read side merges
-/// shards on demand. This replaced the mutex-per-completion LatencyRecorder
-/// in the scheduler's task-completion hot path.
-///
-/// Contract per shard: ONE writer thread (the I-Cilk runtime maps worker i
-/// to shard i). Readers may run concurrently with writers.
-///
-/// The merged view preserves LatencyRecorder's append-only semantics:
-/// samples(), count(), and samplesSince(Start) observe a single stable
-/// sequence that only ever grows, so consumers tracking a consumed count
-/// (the telemetry sampler, incremental metrics sampling) keep working
-/// unchanged. Merge order interleaves shards by harvest, not by record
-/// time — summaries and quantiles are order-blind, so nothing downstream
-/// cares.
-class ShardedLatencyRecorder {
-public:
-  explicit ShardedLatencyRecorder(unsigned NumShards);
-
-  /// Records one sample on \p Shard. Wait-free for the shard's single
-  /// writer except when a fresh chunk must be allocated (every
-  /// ChunkSize-th sample on that shard).
-  void record(unsigned Shard, double Value);
-
-  unsigned shards() const { return static_cast<unsigned>(NumShards); }
-
-  /// Merged views — same semantics as LatencyRecorder.
-  std::size_t count() const;
-  std::vector<double> samples() const;
-  std::vector<double> samplesSince(std::size_t Start) const;
-  LatencySummary summary() const;
-
-private:
-  static constexpr std::size_t ChunkSize = 512;
-
-  /// One writer, many readers. The writer publishes a sample by storing
-  /// the value into the current chunk and then release-incrementing Count;
-  /// readers acquire Count and only touch slots below it. The chunk table
-  /// itself is guarded by ChunkMutex, which the writer takes only to grow
-  /// it and readers take for the duration of a copy.
-  struct alignas(64) Shard {
-    std::atomic<std::size_t> Count{0};
-    mutable std::mutex ChunkMutex;
-    std::vector<std::unique_ptr<double[]>> Chunks;
-  };
-
-  /// Appends every shard's unmerged tail to Merged (caller holds
-  /// MergeMutex).
-  void harvestLocked() const;
-
-  std::size_t NumShards;
-  std::unique_ptr<Shard[]> Shards;
-
-  mutable std::mutex MergeMutex;
-  mutable std::vector<double> Merged;
-  mutable std::vector<std::size_t> Harvested; ///< per shard, consumed count
-};
 
 /// Renders a summary as a short human-readable string.
 std::string toString(const LatencySummary &S);

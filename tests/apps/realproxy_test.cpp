@@ -17,7 +17,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
 #include <chrono>
+#include <map>
 #include <mutex>
 #include <thread>
 
@@ -357,6 +359,52 @@ TEST(RealProxyTest, RequestIdForwardedAndEchoedIndependentOfTracing) {
   EXPECT_EQ(Generated.find_first_not_of("0123456789abcdef"),
             std::string::npos)
       << "generated ids are 16 lowercase hex digits, got: " << Generated;
+  Proxy.stop();
+  Origin.stop();
+}
+
+TEST(RealProxyTest, RequestIdCannotInjectHeaders) {
+  // The proxy splits header lines on CRLF, the origin's parser on a bare
+  // LF: an id carrying an LF must be replaced, not forwarded or echoed.
+  std::mutex SeenMutex;
+  std::map<std::string, std::string> SeenHeaders;
+  http::HttpServer Origin;
+  Origin.route("/page", [&](const http::Request &Req) {
+    std::lock_guard<std::mutex> Lock(SeenMutex);
+    SeenHeaders = Req.Headers;
+    return http::Response{200, "text/plain; charset=utf-8", "origin body\n"};
+  });
+  std::string Error;
+  ASSERT_TRUE(Origin.start(0, &Error)) << Error;
+  RealProxyConfig Config;
+  Config.OriginPort = Origin.port();
+  RealProxy Proxy(Config);
+  ASSERT_TRUE(Proxy.start(&Error)) << Error;
+
+  std::string Reply = http::rawRequest(
+      Proxy.port(),
+      "GET /page HTTP/1.1\r\nHost: x\r\nX-Request-Id: a\nX-Evil: 1\r\n"
+      "Connection: close\r\n\r\n",
+      3000);
+  EXPECT_NE(Reply.find("origin body"), std::string::npos) << Reply;
+  std::string Lower = Reply;
+  for (char &C : Lower)
+    C = static_cast<char>(std::tolower(static_cast<unsigned char>(C)));
+  EXPECT_EQ(Lower.find("x-evil"), std::string::npos) << Reply;
+  {
+    std::lock_guard<std::mutex> Lock(SeenMutex);
+    EXPECT_EQ(SeenHeaders.count("x-evil"), 0u);
+    // A fresh id was minted in place of the rejected one.
+    EXPECT_EQ(SeenHeaders["x-request-id"].size(), 16u);
+  }
+
+  // Overlong ids are dropped the same way.
+  std::string Long(129, 'a');
+  Reply = http::rawRequest(Proxy.port(),
+                           "GET /page HTTP/1.1\r\nHost: x\r\nX-Request-Id: " +
+                               Long + "\r\nConnection: close\r\n\r\n",
+                           3000);
+  EXPECT_EQ(Reply.find(Long), std::string::npos);
   Proxy.stop();
   Origin.stop();
 }

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 
 namespace repro::apps {
 namespace {
@@ -143,11 +144,20 @@ TEST(ProxyRobustnessTest, ExpiredDeadlineNeverResubmits) {
 //===----------------------------------------------------------------------===//
 
 JobServerConfig overloadJobs() {
-  // Default job sizes (~1-7 ms each): arrivals every 2.5 ms genuinely
-  // oversubscribe the machine, which is what the shedder responds to.
+  // Default job sizes (~1-7 ms each).
   JobServerConfig C;
   C.DurationMillis = 600;
   C.Rt.NumWorkers = 4;
+  return C;
+}
+
+/// overloadJobs() with matmul — the costliest job and the one never shed —
+/// at a tenth of the arrivals: at a quarter of a 2x overload it alone
+/// would need about three quarters of the host, and its latency would then
+/// measure spare capacity rather than priority scheduling.
+JobServerConfig sheddingJobs() {
+  JobServerConfig C = overloadJobs();
+  C.Mix = {0.1, 0.3, 0.3, 0.3};
   return C;
 }
 
@@ -156,12 +166,20 @@ TEST(JobServerRobustnessTest, SheddingPreservesHighPriorityLatency) {
   // jobs are shed (and counted), and matmul — the highest priority, never
   // shed — keeps a p99 within 2x of uncontended (plus a floor for 1-core
   // scheduling jitter).
-  JobServerConfig Base = overloadJobs();
+  JobServerConfig Base = sheddingJobs();
   Base.ArrivalIntervalMicros = 20000; // light load
   JobServerReport RBase = runJobServer(Base);
+  ASSERT_GT(RBase.App.Requests, 0u);
 
-  JobServerConfig Over = overloadJobs();
-  Over.ArrivalIntervalMicros = 2500; // offered load ~2x what the box serves
+  // Twice what this host serves: the baseline's busy time per job, spread
+  // over the cores the workers can actually run on.
+  double BusyMicros = RBase.App.UtilizationApprox * RBase.App.WallMillis *
+                      1000.0 * Base.Rt.NumWorkers;
+  double PerJobMicros = BusyMicros / static_cast<double>(RBase.App.Requests);
+  unsigned Cores = std::min(Base.Rt.NumWorkers,
+                            std::max(1u, std::thread::hardware_concurrency()));
+  JobServerConfig Over = sheddingJobs();
+  Over.ArrivalIntervalMicros = PerJobMicros / (2.0 * Cores);
   Over.Shedding = true;
   Over.ShedMaxLevel = 2;   // shed sw, sort, fib; matmul always admitted
   Over.ShedQueueDepth = 8; // engage early on the small pool
@@ -170,7 +188,8 @@ TEST(JobServerRobustnessTest, SheddingPreservesHighPriorityLatency) {
   uint64_t TotalShed = 0;
   for (std::size_t T = 0; T < 4; ++T)
     TotalShed += ROver.JobsShed[T];
-  EXPECT_GT(TotalShed, 0u) << "overload never engaged the shedder";
+  EXPECT_GT(TotalShed, 0u) << "overload never engaged the shedder (arrivals "
+                           << "every " << Over.ArrivalIntervalMicros << " us)";
   EXPECT_EQ(ROver.JobsShed[0], 0u) << "matmul (never sheddable) was shed";
 
   ASSERT_GT(RBase.JobsByType[0], 0u);

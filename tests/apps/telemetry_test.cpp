@@ -207,6 +207,132 @@ TEST(TelemetryRenderTest, TraceSliceIsValidChromeTraceJson) {
   ASSERT_TRUE(Empty.has_value()) << Err;
 }
 
+TEST(TelemetryRenderTest, LatencyTailIsExactAndEveryReaderAgrees) {
+  // Two 250 ms tasks among a hundred: p99 is the tail itself, which must
+  // not saturate anywhere. While every window still covers the whole run
+  // (telemetry's sampler is not started, admission's epoch is a minute),
+  // /latency.json, /metrics and the admission controller read the same
+  // counts and so report the same p99, to the last bit.
+  icilk::RuntimeConfig RC;
+  RC.NumWorkers = 2;
+  RC.NumLevels = 4;
+  icilk::Runtime Rt(RC);
+  icilk::AdmissionConfig AC;
+  AC.ControlIntervalMillis = 5;
+  AC.EpochMillis = 60000;
+  icilk::AdmissionController Admission(Rt, AC);
+  icilk::Telemetry T(Rt, {});
+  for (int I = 0; I < 98; ++I)
+    icilk::fcreate<JobMatmul>(Rt, [](icilk::Context<JobMatmul> &) {});
+  for (int I = 0; I < 2; ++I)
+    icilk::fcreate<JobMatmul>(Rt, [](icilk::Context<JobMatmul> &) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(250));
+    });
+  Rt.drain();
+
+  const unsigned L = JobMatmul::Level;
+  json::Value Lat = T.latencyJson();
+  double JsonP99 = Lat.find("levels")->at(L).find("p99")->asNumber();
+  EXPECT_GE(JsonP99, 250000.0);
+  auto Series = parseExposition(T.renderPrometheus());
+  EXPECT_EQ(Series["icilk_response_latency_micros{level=\"" +
+                   std::to_string(L) + "\",quantile=\"0.99\"}"],
+            JsonP99);
+  // The controller reads its window on its own tick: wait for one that
+  // started after the drain (a different reading never converges).
+  double AdmissionP99 = 0;
+  for (int Try = 0; Try < 400 && AdmissionP99 != JsonP99; ++Try) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    AdmissionP99 = Rt.snapshot().Admission.Levels[L].WindowP99Micros;
+  }
+  EXPECT_EQ(AdmissionP99, JsonP99);
+}
+
+/// A retained-trace summary as the span store reports it; \p Id stands in
+/// for both the displayed trace id and the pin key.
+icilk::SpanStore::RetainedSummary retainedTrace(unsigned Level, double Micros,
+                                                uint64_t EndNanos,
+                                                uint64_t Id) {
+  icilk::SpanStore::RetainedSummary S;
+  S.DisplayHi = 100 + Id;
+  S.DisplayLo = Id;
+  S.LocalLo = Id;
+  S.EndNanos = EndNanos;
+  S.DurationMicros = Micros;
+  S.RootLevel = static_cast<uint8_t>(Level);
+  return S;
+}
+
+std::vector<double> exemplarValues(const icilk::Telemetry &T, unsigned L) {
+  std::vector<double> Out;
+  for (const auto &E : T.exemplars(L))
+    Out.push_back(E.Value);
+  return Out;
+}
+
+TEST(TelemetryExemplarTest, DecadeSlotsKeepMostRecentAndExpireStale) {
+  icilk::RuntimeConfig RC;
+  RC.NumWorkers = 1;
+  RC.NumLevels = 2;
+  icilk::Runtime Rt(RC);
+  icilk::TelemetryConfig TC;
+  TC.ExemplarSlots = 4; // <10 µs, 10-100 µs, 100 µs-1 ms, >=1 ms
+  icilk::Telemetry T(Rt, TC);
+  EXPECT_TRUE(T.exemplars(0).empty());
+
+  // Oldest first, one trace per slot: 10 µs opens the second decade and
+  // 100 µs the third; 2 s lands in the open-ended last slot; a level past
+  // the runtime's files under the top one.
+  std::vector<uint64_t> Pins = T.fileExemplars(
+      {retainedTrace(0, 0.5, 100, 1), retainedTrace(0, 10, 200, 2),
+       retainedTrace(0, 100, 210, 3), retainedTrace(0, 2e6, 300, 4),
+       retainedTrace(1, 500, 150, 5), retainedTrace(9, 20, 160, 6)},
+      /*CutoffNanos=*/0);
+  EXPECT_EQ(std::set<uint64_t>(Pins.begin(), Pins.end()),
+            (std::set<uint64_t>{1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(exemplarValues(T, 0), (std::vector<double>{0.5, 10, 100, 2e6}));
+  EXPECT_EQ(exemplarValues(T, 1), (std::vector<double>{20, 500}));
+  std::vector<icilk::Telemetry::Exemplar> Ex = T.exemplars(0);
+  ASSERT_EQ(Ex.size(), 4u);
+  EXPECT_EQ(Ex[3].TraceHi, 104u);
+  EXPECT_EQ(Ex[3].TraceLo, 4u);
+  EXPECT_EQ(Ex[3].PinKey, 4u);
+  EXPECT_EQ(Ex[3].TimeNanos, 300u);
+
+  // Within one batch and across batches the most recent trace of a decade
+  // wins: 99 µs then 42 µs both replace the 10 µs one, and 42 µs stays.
+  // A 5 ms trace replaces the 2 s one in the open-ended slot.
+  Pins = T.fileExemplars({retainedTrace(0, 99, 390, 7),
+                          retainedTrace(0, 5000, 400, 8),
+                          retainedTrace(0, 42, 410, 9)},
+                         /*CutoffNanos=*/0);
+  EXPECT_EQ(exemplarValues(T, 0), (std::vector<double>{0.5, 42, 100, 5000}));
+  EXPECT_EQ(T.exemplars(0)[1].TraceLo, 9u);
+  EXPECT_EQ(std::set<uint64_t>(Pins.begin(), Pins.end()),
+            (std::set<uint64_t>{1, 3, 5, 6, 8, 9}));
+
+  // Expiry drops only slots whose trace ended before the cutoff: the
+  // time-100..300 entries go; the one ending at the cutoff and the later
+  // one stay, and stay pinned.
+  Pins = T.fileExemplars({}, /*CutoffNanos=*/400);
+  EXPECT_EQ(exemplarValues(T, 0), (std::vector<double>{42, 5000}));
+  EXPECT_TRUE(T.exemplars(1).empty());
+  EXPECT_EQ(std::set<uint64_t>(Pins.begin(), Pins.end()),
+            (std::set<uint64_t>{8, 9}));
+}
+
+TEST(TelemetryExemplarTest, ZeroSlotsStoreNothing) {
+  icilk::RuntimeConfig RC;
+  RC.NumWorkers = 1;
+  icilk::Runtime Rt(RC);
+  icilk::TelemetryConfig TC;
+  TC.ExemplarSlots = 0;
+  icilk::Telemetry T(Rt, TC);
+  EXPECT_TRUE(T.fileExemplars({retainedTrace(0, 50, 100, 1)}, 0).empty());
+  for (unsigned L = 0; L < RC.NumLevels; ++L)
+    EXPECT_TRUE(T.exemplars(L).empty());
+}
+
 /// The live test: scrape a job-server run from a client thread while jobs
 /// flow, then check monotonicity and that the latency window saw load.
 TEST(TelemetryLiveTest, ScrapesDuringJobServerRun) {

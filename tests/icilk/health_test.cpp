@@ -211,16 +211,14 @@ TEST(HealthDoctorTest, StalledTaskGetsCriticalVerdict) {
 /// A window source whose tails the test scripts directly.
 class FakeWindows : public LatencyWindowSource {
 public:
-  FakeWindows() : Fast(0, 10000, 100), Slow(0, 10000, 100) {}
-
   unsigned levels() const override { return 1; }
-  Histogram windowTail(unsigned, unsigned LastEpochs) const override {
+  LatencyHistogram windowTail(unsigned, unsigned LastEpochs) const override {
     return LastEpochs <= 2 ? Fast : Slow;
   }
   unsigned epochs() const override { return 10; }
   uint64_t epochMillis() const override { return 1000; }
 
-  Histogram Fast, Slow;
+  LatencyHistogram Fast, Slow;
 };
 
 TEST(SloBurnTest, BothWindowsBurningRaisesCriticalVerdict) {
@@ -236,8 +234,8 @@ TEST(SloBurnTest, BothWindowsBurningRaisesCriticalVerdict) {
 
   // All good: everything under target, no burn.
   for (int I = 0; I < 100; ++I) {
-    W.Fast.add(100);
-    W.Slow.add(100);
+    W.Fast.record(100);
+    W.Slow.record(100);
   }
   Plane.tickForTest();
   HealthReport R = Plane.report();
@@ -249,9 +247,9 @@ TEST(SloBurnTest, BothWindowsBurningRaisesCriticalVerdict) {
   // Tail catastrophe: 10% of fast-window requests over target burns the
   // 1% budget at 10x; the slow window burns at ~5x. Both over threshold.
   for (int I = 0; I < 11; ++I)
-    W.Fast.add(5000);
+    W.Fast.record(5000);
   for (int I = 0; I < 5; ++I)
-    W.Slow.add(5000);
+    W.Slow.record(5000);
   Plane.tickForTest();
   R = Plane.report();
   ASSERT_EQ(R.Slo.size(), 1u);

@@ -4,14 +4,18 @@
 // reuse under churn (including suspension churn, which is what exercises
 // TSan fiber re-creation under scripts/check.sh), idle-worker parking
 // (a quiescent runtime must not burn CPU), bounded wakeup latency after a
-// submission into a fully parked runtime, and the injection-overflow path.
+// submission into a fully parked runtime, the injection-overflow path, and
+// a heap that stays flat however many tasks complete.
 //
 //===----------------------------------------------------------------------===//
 
+#include "icilk/Admission.h"
 #include "icilk/Context.h"
 #include "icilk/Runtime.h"
 
 #include <gtest/gtest.h>
+
+#include <malloc.h>
 
 #include <atomic>
 #include <chrono>
@@ -162,6 +166,41 @@ TEST(HotPathTest, InjectionOverflowSpillsAndStillRunsEverything) {
   Rt.drain();
   EXPECT_EQ(Ran.load(), Tasks); // nothing lost through the overflow list
   EXPECT_EQ(Rt.snapshot().Outstanding, 0);
+}
+
+TEST(HotPathTest, HeapStaysFlatAcrossTenTimesTheTasks) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators do not report through mallinfo2";
+#endif
+  // Tasks submitted from outside the workers recycle through the global
+  // free lists, and an attached controller reads the latency stats every
+  // tick: neither may keep anything per completed task. Measured after a
+  // warm-up of N tasks so every pool and cache has reached its size.
+  icilk::RuntimeConfig C;
+  C.NumWorkers = 2;
+  C.NumLevels = 2;
+  icilk::Runtime Rt(C);
+  icilk::AdmissionController Admission(Rt);
+  auto Submit = [&Rt](int Tasks) {
+    for (int Done = 0; Done < Tasks; Done += 250) {
+      for (int I = 0; I < 250; ++I)
+        icilk::fcreate<Lo>(Rt, [](icilk::Context<Lo> &) {});
+      Rt.drain();
+    }
+  };
+  auto HeapInUse = [] {
+    struct mallinfo2 M = mallinfo2();
+    return M.uordblks + M.hblkhd;
+  };
+  constexpr int N = 20000;
+  Submit(N);
+  std::size_t Before = HeapInUse();
+  Submit(9 * N);
+  std::size_t After = HeapInUse();
+  EXPECT_EQ(Rt.completed(Lo::Level), static_cast<uint64_t>(10 * N));
+  EXPECT_LT(After, Before + (1u << 20))
+      << "heap grew by " << (After - Before) << " bytes over " << 9 * N
+      << " tasks";
 }
 
 TEST(HotPathTest, StealVictimRandomizationStillDrainsEverything) {

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -162,13 +163,9 @@ TEST(ProfilerTest, BoundHoldsOnCleanAdmissibleRun) {
   // the lift must be strongly well-formed and the measured response must
   // sit under the converted Theorem 2.3 bound at every populated level.
   Runtime Rt(twoLevelConfig());
-  TraceRecorder Tr;
-  Rt.setTrace(&Tr);
-  trace::clear();
-  trace::enable(1 << 16);
   std::vector<Future<Bg, int>> Lows;
   std::vector<Future<Ui, int>> Highs;
-  for (int Wave = 0; Wave < 10; ++Wave) {
+  auto SpawnWave = [&] {
     Lows.push_back(fcreate<Bg>(Rt, [](Context<Bg> &) {
       repro::spinFor(200);
       return 1;
@@ -182,13 +179,37 @@ TEST(ProfilerTest, BoundHoldsOnCleanAdmissibleRun) {
         repro::spinFor(100);
         return Ctx.ftouch(Child);
       }));
-    std::this_thread::sleep_for(std::chrono::microseconds(700));
+  };
+  auto TouchAll = [&] {
+    for (auto &F : Highs)
+      touchFromOutside(Rt, F);
+    for (auto &F : Lows)
+      touchFromOutside(Rt, F);
+    Rt.drain();
+    Highs.clear();
+    Lows.clear();
+  };
+  // The bound speaks about an admissible run, not a saturated one, so
+  // waves must arrive slower than the machine drains them. One untraced
+  // wave measures that drain time (a sanitizer build can take ten times
+  // the plain build's) and sets the spacing; it also warms the fiber
+  // stack pool.
+  auto Start = std::chrono::steady_clock::now();
+  SpawnWave();
+  TouchAll();
+  auto Interval = std::max<std::chrono::steady_clock::duration>(
+      std::chrono::microseconds(700),
+      2 * (std::chrono::steady_clock::now() - Start));
+
+  TraceRecorder Tr;
+  Rt.setTrace(&Tr);
+  trace::clear();
+  trace::enable(1 << 16);
+  for (int Wave = 0; Wave < 10; ++Wave) {
+    SpawnWave();
+    std::this_thread::sleep_for(Interval);
   }
-  for (auto &F : Highs)
-    touchFromOutside(Rt, F);
-  for (auto &F : Lows)
-    touchFromOutside(Rt, F);
-  Rt.drain();
+  TouchAll();
   trace::disable();
   Rt.setTrace(nullptr);
 

@@ -124,7 +124,9 @@ TEST(ReactorTest, TimersFireInDeadlineOrder) {
   std::atomic<int> SlowSaw{-1}, FastSaw{-1};
   Io.submitTimer(20000, [&] { SlowSaw = Order.fetch_add(1); });
   Io.submitTimer(1000, [&] { FastSaw = Order.fetch_add(1); });
-  while (Order.load() < 2)
+  // Wait for the stores, not the counter: Order reaches 2 just before
+  // SlowSaw is written.
+  while (SlowSaw.load() < 0 || FastSaw.load() < 0)
     std::this_thread::yield();
   EXPECT_EQ(FastSaw.load(), 0);
   EXPECT_EQ(SlowSaw.load(), 1);

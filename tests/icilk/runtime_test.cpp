@@ -116,9 +116,9 @@ TEST(RuntimeTest, LevelStatsRecorded) {
   for (int I = 0; I < 10; ++I)
     touchFromOutside(Rt, fcreate<Ui>(Rt, [](Context<Ui> &) { return 1; }));
   Rt.drain();
-  EXPECT_EQ(Rt.levelStats(Ui::Level).Completed.load(), 10u);
-  EXPECT_EQ(Rt.levelStats(Ui::Level).Response.count(), 10u);
-  EXPECT_EQ(Rt.levelStats(Bg::Level).Completed.load(), 0u);
+  EXPECT_EQ(Rt.completed(Ui::Level), 10u);
+  EXPECT_EQ(Rt.latency(Ui::Level, LatencyKind::Response).count(), 10u);
+  EXPECT_EQ(Rt.completed(Bg::Level), 0u);
 }
 
 TEST(RuntimeTest, ObliviousModeStillRunsEverything) {
@@ -133,7 +133,7 @@ TEST(RuntimeTest, ObliviousModeStillRunsEverything) {
   // Stats still attributed to the task's level (drain: the bookkeeping
   // runs just after future completion).
   Rt.drain();
-  EXPECT_EQ(Rt.levelStats(Bg::Level).Completed.load(), 200u);
+  EXPECT_EQ(Rt.completed(Bg::Level), 200u);
 }
 
 TEST(RuntimeTest, DrainWaitsForDetachedWork) {

@@ -45,7 +45,7 @@ double highPriorityMeanResponse(bool PriorityAware) {
   }
   for (auto &F : HighFs)
     touchFromOutside(Rt, F);
-  double Mean = Rt.levelStats(High::Level).Response.summary().Mean;
+  double Mean = Rt.latency(High::Level, LatencyKind::Response).mean();
   Rt.drain();
   return Mean;
 }
@@ -138,8 +138,8 @@ TEST(SchedulerTest, ComputeTimeStatsPerLevel) {
     fcreate<High>(Rt, [](Context<High> &) { repro::spinFor(100); });
   }
   Rt.drain();
-  auto LowSummary = Rt.levelStats(Low::Level).Compute.summary();
-  auto HighSummary = Rt.levelStats(High::Level).Compute.summary();
+  auto LowSummary = Rt.latency(Low::Level, LatencyKind::Compute).summary();
+  auto HighSummary = Rt.latency(High::Level, LatencyKind::Compute).summary();
   EXPECT_EQ(LowSummary.Count, 5u);
   EXPECT_EQ(HighSummary.Count, 5u);
   EXPECT_GE(LowSummary.Mean, 500.0);

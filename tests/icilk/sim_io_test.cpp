@@ -9,13 +9,23 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 namespace repro::icilk {
 namespace {
 
 ICILK_PRIORITY(Low, BasePriority, 0);
 ICILK_PRIORITY(High, Low, 1);
+
+/// Waits until the I/O thread has counted every op: it completes a
+/// future before it counts the op, so a ready future can be uncounted for
+/// a moment.
+void waitIdle(const SimIo &Io) {
+  while (Io.inFlight() > 0)
+    std::this_thread::yield();
+}
 
 TEST(SimIoTest, CompletesAfterLatency) {
   SimIo Io{"io"};
@@ -30,15 +40,32 @@ TEST(SimIoTest, CompletesAfterLatency) {
 }
 
 TEST(SimIoTest, CompletesInDeadlineOrder) {
+  // The order is observed on the I/O thread itself (completion callbacks
+  // run there), so a descheduled test thread cannot change the verdict.
+  // A zero-latency timer holds that thread until both callbacks are on.
   SimIo Io{"io"};
+  std::atomic<bool> Registered{false};
+  Io.submitTimer(0, [&Registered] {
+    while (!Registered.load())
+      std::this_thread::yield();
+  });
   auto Slow = Io.simRead<High>(20000, 1);
   auto Fast = Io.simRead<High>(1000, 2);
-  while (!Fast.isReady())
+  std::mutex OrderMutex;
+  std::vector<int> Order;
+  auto Note = [&](int Id) {
+    return [&, Id] {
+      std::lock_guard<std::mutex> Lock(OrderMutex);
+      Order.push_back(Id);
+    };
+  };
+  ASSERT_TRUE(Slow.state()->addCallback(Note(1)));
+  ASSERT_TRUE(Fast.state()->addCallback(Note(2)));
+  Registered.store(true);
+  while (Io.completed() < 2)
     std::this_thread::yield();
-  EXPECT_FALSE(Slow.isReady());
-  while (!Slow.isReady())
-    std::this_thread::yield();
-  EXPECT_EQ(Io.completed(), 2u);
+  std::lock_guard<std::mutex> Lock(OrderMutex);
+  EXPECT_EQ(Order, (std::vector<int>{2, 1}));
 }
 
 TEST(SimIoTest, ZeroLatencyCompletesPromptly) {
@@ -59,8 +86,8 @@ TEST(SimIoTest, ManyConcurrentOps) {
       std::this_thread::yield();
     EXPECT_EQ(Fs[I].state()->value(), I);
   }
+  waitIdle(Io);
   EXPECT_EQ(Io.completed(), 200u);
-  EXPECT_EQ(Io.inFlight(), 0u);
 }
 
 TEST(SimIoTest, WorkersRunTasksWhileIoPends) {
@@ -132,6 +159,7 @@ TEST(SimIoTest, ReadsAndWritesCountedSeparately) {
   for (auto &F : Fs)
     while (!F.isReady())
       std::this_thread::yield();
+  waitIdle(Io);
   EXPECT_EQ(Io.simReads(), 5u);
   EXPECT_EQ(Io.simWrites(), 3u);
   EXPECT_EQ(Io.completed(), 8u);

@@ -1,278 +1,293 @@
-//===- tests/support/histogram_test.cpp - Histogram ------------------------===//
+//===- tests/support/histogram_test.cpp - Latency histogram ----------------===//
+//
+// LatencyHistogram against the exact quantile() of support/Stats, and the
+// LatencyWindows ring built on it.
+//
+//===----------------------------------------------------------------------===//
 
 #include "support/Histogram.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <random>
 #include <thread>
+#include <vector>
 
 namespace repro {
 namespace {
 
-TEST(HistogramTest, BucketsValuesLinearly) {
-  Histogram H(0, 10, 10);
-  H.add(0.5);
-  H.add(9.5);
-  EXPECT_EQ(H.bucketCount(0), 1u);
-  EXPECT_EQ(H.bucketCount(9), 1u);
-  EXPECT_EQ(H.total(), 2u);
+LatencyHistogram histogramOf(const std::vector<double> &Samples) {
+  LatencyHistogram H;
+  for (double V : Samples)
+    H.record(V);
+  return H;
 }
 
-TEST(HistogramTest, UnderAndOverflow) {
-  Histogram H(0, 10, 5);
-  H.add(-1);
-  H.add(10);
-  H.add(100);
-  EXPECT_EQ(H.underflow(), 1u);
-  EXPECT_EQ(H.overflow(), 2u);
-  EXPECT_EQ(H.total(), 3u);
+/// Every checked quantile of \p Samples read from a histogram is within 1%
+/// of the exact interpolated one.
+void expectQuantilesWithinOnePercent(const std::vector<double> &Samples) {
+  LatencyHistogram H = histogramOf(Samples);
+  for (double Q : {0.5, 0.95, 0.99, 0.999}) {
+    double Exact = quantile(Samples, Q);
+    EXPECT_NEAR(H.quantile(Q), Exact, 0.01 * Exact) << "q=" << Q;
+  }
 }
 
-TEST(HistogramTest, BoundaryValueGoesToUpperBucket) {
-  Histogram H(0, 10, 10);
-  H.add(1.0); // exactly the edge between bucket 0 and 1
-  EXPECT_EQ(H.bucketCount(1), 1u);
+TEST(LatencyHistogramTest, CountSumMinMaxAreExact) {
+  LatencyHistogram H = histogramOf({3, 1000.5, 7.25, 42});
+  EXPECT_EQ(H.count(), 4u);
+  EXPECT_DOUBLE_EQ(H.sum(), 3 + 1000.5 + 7.25 + 42);
+  EXPECT_DOUBLE_EQ(H.min(), 3);
+  EXPECT_DOUBLE_EQ(H.max(), 1000.5);
+  LatencySummary S = H.summary();
+  EXPECT_EQ(S.Count, 4u);
+  EXPECT_DOUBLE_EQ(S.Mean, H.sum() / 4);
+  EXPECT_DOUBLE_EQ(S.Min, 3);
+  EXPECT_DOUBLE_EQ(S.Max, 1000.5);
 }
 
-TEST(HistogramTest, LowerEdges) {
-  Histogram H(0, 100, 4);
-  EXPECT_DOUBLE_EQ(H.bucketLowerEdge(0), 0.0);
-  EXPECT_DOUBLE_EQ(H.bucketLowerEdge(1), 25.0);
-  EXPECT_DOUBLE_EQ(H.bucketLowerEdge(3), 75.0);
+TEST(LatencyHistogramTest, EmptyReadsZero) {
+  LatencyHistogram H;
+  EXPECT_EQ(H.count(), 0u);
+  EXPECT_EQ(H.quantile(0.99), 0.0);
+  EXPECT_EQ(H.fractionAbove(5), 0.0);
+  EXPECT_EQ(H.summary().Count, 0u);
+  EXPECT_EQ(H.mean(), 0.0);
 }
 
-TEST(HistogramTest, RenderShowsBars) {
-  Histogram H(0, 2, 2);
-  H.add(0.1);
-  H.add(0.2);
-  H.add(1.5);
-  std::string Out = H.render(10);
-  EXPECT_NE(Out.find("##########"), std::string::npos); // full-width bar
+TEST(LatencyHistogramTest, NegativeAndNaNCountAsZero) {
+  LatencyHistogram H;
+  H.record(-5);
+  H.record(std::nan(""));
+  EXPECT_EQ(H.count(), 2u);
+  EXPECT_EQ(H.sum(), 0.0);
+  EXPECT_EQ(H.max(), 0.0);
 }
 
-TEST(HistogramTest, MergeAddsBucketForBucket) {
-  Histogram A(0, 10, 10), B(0, 10, 10);
-  A.add(0.5);
-  A.add(-1);
-  B.add(0.5);
-  B.add(9.5);
-  B.add(100);
-  ASSERT_TRUE(A.merge(B));
-  EXPECT_EQ(A.bucketCount(0), 2u);
-  EXPECT_EQ(A.bucketCount(9), 1u);
-  EXPECT_EQ(A.underflow(), 1u);
-  EXPECT_EQ(A.overflow(), 1u);
-  EXPECT_EQ(A.total(), 5u);
+TEST(LatencyHistogramTest, ExponentialQuantilesWithinOnePercent) {
+  std::mt19937_64 Gen(1);
+  std::exponential_distribution<double> Exp(1.0 / 50000); // mean 50 ms
+  std::vector<double> Samples;
+  for (int I = 0; I < 100000; ++I)
+    Samples.push_back(1 + Exp(Gen));
+  expectQuantilesWithinOnePercent(Samples);
 }
 
-TEST(HistogramTest, MergeRejectsShapeMismatch) {
-  Histogram A(0, 10, 10);
-  Histogram DifferentRange(0, 20, 10), DifferentBuckets(0, 10, 5);
-  A.add(1);
-  EXPECT_FALSE(A.merge(DifferentRange));
-  EXPECT_FALSE(A.merge(DifferentBuckets));
-  EXPECT_EQ(A.total(), 1u); // unchanged on rejection
+TEST(LatencyHistogramTest, LogNormalQuantilesWithinOnePercent) {
+  // Median 1 ms, σ = 2.5: the checked quantiles span ~1 ms to ~2 s.
+  std::mt19937_64 Gen(2);
+  std::lognormal_distribution<double> LogNormal(std::log(1000.0), 2.5);
+  std::vector<double> Samples;
+  for (int I = 0; I < 100000; ++I)
+    Samples.push_back(std::max(1.0, LogNormal(Gen)));
+  EXPECT_GT(quantile(Samples, 0.999), 1e6);
+  expectQuantilesWithinOnePercent(Samples);
 }
 
-TEST(HistogramTest, QuantileInterpolatesAndSaturates) {
-  Histogram H(0, 100, 100);
-  for (int I = 0; I < 100; ++I)
-    H.add(I + 0.5); // one observation per bucket
-  // Uniform data: quantiles track the range linearly (within a bucket).
-  EXPECT_NEAR(H.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(H.quantile(0.99), 99.0, 1.5);
-  EXPECT_LE(H.quantile(1.0), 100.0);
-
-  Histogram Sat(0, 10, 10);
-  Sat.add(1e9); // pure overflow
-  EXPECT_DOUBLE_EQ(Sat.quantile(0.5), 10.0); // saturates at Hi
-  Histogram Empty(0, 10, 10);
-  EXPECT_DOUBLE_EQ(Empty.quantile(0.5), 0.0);
+TEST(LatencyHistogramTest, BimodalQuantilesWithinOnePercent) {
+  // 70% fast replies near 200 µs, 30% slow ones near 500 ms: the median
+  // sits in the first mode, every tail quantile in the second.
+  std::mt19937_64 Gen(3);
+  std::uniform_real_distribution<double> Coin(0, 1);
+  std::lognormal_distribution<double> Fast(std::log(200.0), 0.1);
+  std::lognormal_distribution<double> Slow(std::log(500000.0), 0.3);
+  std::vector<double> Samples;
+  for (int I = 0; I < 100000; ++I)
+    Samples.push_back(Coin(Gen) < 0.7 ? Fast(Gen) : Slow(Gen));
+  expectQuantilesWithinOnePercent(Samples);
 }
 
-TEST(HistogramTest, ResetKeepsShapeDropsCounts) {
-  Histogram H(0, 10, 10);
-  H.add(5);
-  H.add(-1);
-  H.reset();
-  EXPECT_EQ(H.total(), 0u);
-  EXPECT_EQ(H.underflow(), 0u);
-  H.add(5);
-  EXPECT_EQ(H.bucketCount(5), 1u);
+TEST(LatencyHistogramTest, MicrosecondAndHourLatenciesKeepTheirPrecision) {
+  std::mt19937_64 Gen(4);
+  for (double Base : {1.0, 3.6e9}) { // 1 µs and 1 h
+    std::uniform_real_distribution<double> Uniform(Base, 1.5 * Base);
+    std::vector<double> Samples;
+    for (int I = 0; I < 10000; ++I)
+      Samples.push_back(Uniform(Gen));
+    expectQuantilesWithinOnePercent(Samples);
+  }
+  EXPECT_GT(LatencyHistogram::maxTrackedMicros(), 1.5 * 3.6e9);
 }
 
-TEST(WindowedHistogramTest, MergedCoversAllLiveEpochs) {
-  WindowedHistogram W(0, 100, 100, 3);
-  W.record(10);
-  W.rotate();
-  W.record(20);
-  W.rotate();
-  W.record(30);
-  EXPECT_EQ(W.windowTotal(), 3u);
-  Histogram M = W.merged();
-  EXPECT_EQ(M.total(), 3u);
-  EXPECT_GT(M.quantile(0.99), 25.0); // the newest sample is in there
+TEST(LatencyHistogramTest, QuantileNeverReadsBelowTheSample) {
+  // A point-mass tail reads exactly (the estimate is clamped to max), and
+  // a quantile never under-reports the sample it stands for.
+  LatencyHistogram H;
+  for (int I = 0; I < 98; ++I)
+    H.record(1000);
+  H.record(250000);
+  H.record(250000);
+  EXPECT_DOUBLE_EQ(H.quantile(0.99), 250000);
+  EXPECT_GE(H.quantile(0.5), 1000);
+  EXPECT_LE(H.quantile(0.5), 1000 * 1.0079);
 }
 
-TEST(WindowedHistogramTest, RotationExpiresOldestEpoch) {
-  WindowedHistogram W(0, 100, 100, 2);
-  W.record(10); // epoch A
-  W.rotate();
-  W.record(20); // epoch B; window = {A, B}
-  EXPECT_EQ(W.windowTotal(), 2u);
-  W.rotate(); // reuses (clears) A's slot; window = {B, fresh}
-  EXPECT_EQ(W.windowTotal(), 1u);
-  W.rotate(); // expires B too
-  EXPECT_EQ(W.windowTotal(), 0u);
-  EXPECT_DOUBLE_EQ(W.merged().quantile(0.5), 0.0);
+TEST(LatencyHistogramTest, MergeEqualsRecordingEverythingInOne) {
+  std::mt19937_64 Gen(5);
+  std::exponential_distribution<double> Exp(1.0 / 300);
+  LatencyHistogram A, B, All;
+  for (int I = 0; I < 5000; ++I) {
+    double V = Exp(Gen);
+    (I % 3 ? A : B).record(V);
+    All.record(V);
+  }
+  LatencyHistogram Merged;
+  Merged.merge(A);
+  Merged.merge(B);
+  EXPECT_EQ(Merged.count(), All.count());
+  EXPECT_DOUBLE_EQ(Merged.min(), All.min());
+  EXPECT_DOUBLE_EQ(Merged.max(), All.max());
+  EXPECT_NEAR(Merged.sum(), All.sum(), 1e-6 * All.sum());
+  for (double Q : {0.0, 0.5, 0.9, 0.99, 1.0})
+    EXPECT_EQ(Merged.quantile(Q), All.quantile(Q)) << "q=" << Q;
 }
 
-TEST(HistogramTest, FractionAboveInterpolatesAndCountsOverflow) {
-  Histogram H(0, 100, 100);
-  for (int I = 0; I < 100; ++I)
-    H.add(I + 0.5); // uniform, one per bucket
-  EXPECT_NEAR(H.fractionAbove(90), 0.10, 0.02);
-  EXPECT_NEAR(H.fractionAbove(50), 0.50, 0.02);
-  EXPECT_DOUBLE_EQ(H.fractionAbove(100), 0.0);
-
-  Histogram Tail(0, 10, 10);
-  Tail.add(5);
-  Tail.add(1e9); // overflow counts as above any in-range threshold
-  EXPECT_DOUBLE_EQ(Tail.fractionAbove(9), 0.5);
-  Tail.add(-5); // underflow counts as below
-  EXPECT_NEAR(Tail.fractionAbove(9), 1.0 / 3.0, 1e-9);
-
-  Histogram Empty(0, 10, 10);
-  EXPECT_DOUBLE_EQ(Empty.fractionAbove(5), 0.0);
+TEST(LatencyHistogramTest, SubtractLeavesWhatWasRecordedSince) {
+  LatencyHistogram H = histogramOf({10, 20, 30});
+  LatencyHistogram Snapshot = H;
+  H.record(5000);
+  H.record(6000);
+  H.subtract(Snapshot);
+  EXPECT_EQ(H.count(), 2u);
+  EXPECT_NEAR(H.sum(), 11000, 1e-9);
+  EXPECT_GE(H.min(), 4900);
+  EXPECT_DOUBLE_EQ(H.max(), 6000);
+  H.subtract(H); // everything gone
+  EXPECT_EQ(H.count(), 0u);
+  EXPECT_EQ(H.quantile(0.5), 0.0);
 }
 
-TEST(WindowedHistogramTest, MergedLastReadsTheRingAtTwoDepths) {
-  WindowedHistogram W(0, 100, 100, 4);
-  W.record(10); // oldest epoch
-  W.rotate();
-  W.record(20);
-  W.rotate();
-  W.record(30); // current epoch
-  EXPECT_EQ(W.mergedLast(1).total(), 1u); // current only
-  EXPECT_EQ(W.mergedLast(2).total(), 2u);
-  EXPECT_EQ(W.mergedLast(3).total(), 3u);
-  // K clamps to [1, numEpochs()]: 0 acts as 1, huge acts as all.
-  EXPECT_EQ(W.mergedLast(0).total(), 1u);
-  EXPECT_EQ(W.mergedLast(100).total(), 3u);
+TEST(LatencyHistogramTest, FractionAboveCountsTheTail) {
+  LatencyHistogram H;
+  for (int I = 0; I < 1000; ++I)
+    H.record(I + 0.5); // uniform over [0, 1000)
+  EXPECT_NEAR(H.fractionAbove(900), 0.10, 0.005);
+  EXPECT_NEAR(H.fractionAbove(500), 0.50, 0.005);
+  EXPECT_EQ(H.fractionAbove(1000), 0.0);
+  EXPECT_EQ(H.fractionAbove(0.1), 1.0);
+}
+
+TEST(LatencyWindowsTest, WindowReadsTheLastEpochs) {
+  LatencyHistogram Cumulative;
+  LatencyWindows W(4, Cumulative);
+  Cumulative.record(10); // oldest epoch
+  W.rotate(Cumulative);
+  Cumulative.record(20);
+  W.rotate(Cumulative);
+  Cumulative.record(30); // current epoch
+  EXPECT_EQ(W.window(Cumulative, 1).count(), 1u); // current only
+  EXPECT_EQ(W.window(Cumulative, 2).count(), 2u);
+  EXPECT_EQ(W.window(Cumulative, 3).count(), 3u);
+  EXPECT_EQ(W.window(Cumulative).count(), 3u);
+  EXPECT_EQ(W.window(Cumulative, 100).count(), 3u);
   // The fast window really is the newest data, not a prefix.
-  EXPECT_GT(W.mergedLast(1).quantile(0.5), 25.0);
+  EXPECT_GT(W.window(Cumulative, 1).quantile(0.5), 25.0);
 }
 
-TEST(WindowedHistogramTest, RingWrapsAroundAndKeepsExpiring) {
-  // Many more rotations than epochs: every slot is reused several times,
-  // and the window must always hold exactly the last NumEpochs epochs.
-  WindowedHistogram W(0, 100, 10, 3);
+TEST(LatencyWindowsTest, RingWrapsAroundAndKeepsExpiring) {
+  // Many more rotations than epochs: the window must always hold exactly
+  // the last three epochs, and drain fully once recording stops.
+  LatencyHistogram Cumulative;
+  LatencyWindows W(3, Cumulative);
   for (int Round = 0; Round < 20; ++Round) {
-    W.record(50);
-    W.record(50);
-    EXPECT_EQ(W.windowTotal(),
+    Cumulative.record(50);
+    Cumulative.record(50);
+    EXPECT_EQ(W.window(Cumulative).count(),
               static_cast<uint64_t>(2 * std::min(Round + 1, 3)))
         << "round " << Round;
-    W.rotate();
+    W.rotate(Cumulative);
   }
-  // After the loop the current (just-cleared) slot is empty and the two
-  // previous epochs carry 2 samples each.
-  EXPECT_EQ(W.windowTotal(), 4u);
-  W.rotate();
-  W.rotate();
-  W.rotate();
-  EXPECT_EQ(W.windowTotal(), 0u); // fully drained, no resurrected counts
+  EXPECT_EQ(W.window(Cumulative).count(), 4u);
+  for (int I = 0; I < 3; ++I)
+    W.rotate(Cumulative);
+  EXPECT_EQ(W.window(Cumulative).count(), 0u);
 }
 
-TEST(WindowedHistogramTest, HarvestWhileRecordingIsCoherent) {
-  // One writer hammers record()/rotate() while this thread merges and
-  // reads quantiles. The assertion is coherence (merged totals never
-  // exceed what was written, quantiles stay inside the recorded range);
-  // TSan (scripts/check.sh) turns any locking mistake into a failure.
-  WindowedHistogram W(0, 100, 100, 4);
+TEST(LatencyWindowsTest, LateTickClosesSeveralEpochsAtOnce) {
+  LatencyHistogram Cumulative;
+  LatencyWindows W(4, Cumulative);
+  Cumulative.record(10);
+  W.rotate(Cumulative, 3); // three boundaries passed since the last tick
+  Cumulative.record(20);
+  EXPECT_EQ(W.window(Cumulative, 1).count(), 1u);
+  EXPECT_EQ(W.window(Cumulative, 3).count(), 1u); // two empty epochs
+  EXPECT_EQ(W.window(Cumulative, 4).count(), 2u);
+  W.rotate(Cumulative, 100); // longer than the ring: everything expires
+  EXPECT_EQ(W.window(Cumulative).count(), 0u);
+}
+
+TEST(LatencyWindowsTest, QuantilesFollowTheWindowNotTheRun) {
+  LatencyHistogram Cumulative;
+  LatencyWindows W(2, Cumulative);
+  for (int I = 0; I < 100; ++I)
+    Cumulative.record(10.0); // old regime: fast
+  W.rotate(Cumulative);
+  W.rotate(Cumulative); // old regime fully expired
+  for (int I = 0; I < 100; ++I)
+    Cumulative.record(900.0); // new regime: slow
+  EXPECT_GT(W.window(Cumulative).quantile(0.5), 800.0);
+  EXPECT_LT(Cumulative.quantile(0.25), 20.0);
+}
+
+TEST(LatencyWindowsTest, WindowOpensAtItsSnapshot) {
+  LatencyHistogram Cumulative = histogramOf({1, 2, 3});
+  LatencyWindows W(5, Cumulative); // opened after three samples
+  Cumulative.record(4);
+  EXPECT_EQ(W.window(Cumulative).count(), 1u);
+}
+
+TEST(LatencyWindowsTest, ShardWritersRacingMergeAndWindowReadStayCoherent) {
+  // The runtime's pattern: each writer owns one shard, a reader merges
+  // the shards and reads windows while a third thread rotates them. The
+  // assertions are coherence (merged counts never exceed what was written,
+  // quantiles stay inside the recorded range); the TSan leg of
+  // scripts/check.sh turns any unsynchronized access into a failure.
+  constexpr int Writers = 2;
+  LatencyHistogram Shards[Writers];
+  std::atomic<uint64_t> Written[Writers] = {};
   std::atomic<bool> Stop{false};
-  std::atomic<uint64_t> Written{0};
-  std::thread Writer([&] {
-    uint64_t N = 0;
+  auto Merged = [&] {
+    LatencyHistogram M;
+    for (const LatencyHistogram &S : Shards)
+      M.merge(S);
+    return M;
+  };
+  LatencyWindows W(3, Merged());
+  std::vector<std::thread> Threads;
+  for (int I = 0; I < Writers; ++I)
+    Threads.emplace_back([&, I] {
+      uint64_t N = 0;
+      while (!Stop.load(std::memory_order_relaxed)) {
+        Shards[I].record(40 + I);
+        Written[I].store(++N, std::memory_order_release);
+      }
+    });
+  Threads.emplace_back([&] {
     while (!Stop.load(std::memory_order_relaxed)) {
-      W.record(42);
-      Written.store(++N, std::memory_order_release);
-      if (N % 64 == 0)
-        W.rotate();
+      W.rotate(Merged());
+      std::this_thread::yield();
     }
   });
-  while (Written.load(std::memory_order_acquire) == 0)
-    std::this_thread::yield();
-  for (int I = 0; I < 2000; ++I) {
-    Histogram M = W.merged();
-    EXPECT_LE(M.total(), Written.load(std::memory_order_acquire) + 1);
-    if (M.total() > 0) {
-      double Q = M.quantile(0.5);
-      EXPECT_GE(Q, 40.0);
-      EXPECT_LE(Q, 45.0);
-    }
-    W.windowTotal();
-    W.mergedLast(2);
+  for (int Read = 0; Read < 500; ++Read) {
+    LatencyHistogram M = Merged();
+    uint64_t Bound = 0;
+    for (auto &N : Written)
+      Bound += N.load(std::memory_order_acquire) + 1;
+    EXPECT_LE(M.count(), Bound);
+    LatencyHistogram Win = W.window(M);
+    EXPECT_LE(Win.count(), M.count());
+    for (const LatencyHistogram *H : {&M, &Win})
+      if (H->count() > 0) {
+        EXPECT_GE(H->quantile(0.5), 40.0);
+        EXPECT_LE(H->quantile(0.5), 41.0 * 1.008);
+      }
   }
   Stop.store(true);
-  Writer.join();
-  EXPECT_GT(Written.load(), 0u);
-}
-
-TEST(WindowedHistogramTest, ExemplarSlotsKeepMostRecentPerRange) {
-  // 2 slots over [0, 100) → ranges [0,50) and [50,100), plus overflow.
-  WindowedHistogram W(0, 100, 10, 2, /*ExemplarSlots=*/2);
-  EXPECT_EQ(W.numExemplarSlots(), 3u); // +1 overflow slot
-  EXPECT_TRUE(W.exemplars().empty());  // nothing valid yet
-
-  W.noteExemplar(10, /*Hi=*/1, /*Lo=*/2, /*Pin=*/2, /*Time=*/100);
-  W.noteExemplar(60, 3, 4, 4, 200);
-  W.noteExemplar(500, 5, 6, 6, 300); // beyond Hi → overflow slot
-  auto Ex = W.exemplars();
-  ASSERT_EQ(Ex.size(), 3u);
-  EXPECT_DOUBLE_EQ(Ex[0].Value, 10);
-  EXPECT_DOUBLE_EQ(Ex[1].Value, 60);
-  EXPECT_DOUBLE_EQ(Ex[2].Value, 500);
-  EXPECT_EQ(Ex[0].TraceLo, 2u);
-  EXPECT_EQ(Ex[2].TraceHi, 5u);
-
-  // Most recent wins within a slot.
-  W.noteExemplar(20, 7, 8, 8, 400);
-  Ex = W.exemplars();
-  ASSERT_EQ(Ex.size(), 3u);
-  EXPECT_DOUBLE_EQ(Ex[0].Value, 20);
-  EXPECT_EQ(Ex[0].TraceLo, 8u);
-
-  // Expiry drops only stale slots: time 200 < cutoff 250 goes, the
-  // time-300 overflow and time-400 refresh stay.
-  W.expireExemplars(250);
-  Ex = W.exemplars();
-  ASSERT_EQ(Ex.size(), 2u);
-  EXPECT_DOUBLE_EQ(Ex[0].Value, 20);
-  EXPECT_DOUBLE_EQ(Ex[1].Value, 500);
-}
-
-TEST(WindowedHistogramTest, ExemplarsDisabledByDefault) {
-  WindowedHistogram W(0, 100, 10, 2);
-  EXPECT_EQ(W.numExemplarSlots(), 0u);
-  W.noteExemplar(10, 1, 2, 2, 100); // must be a no-op, not a crash
-  EXPECT_TRUE(W.exemplars().empty());
-  W.expireExemplars(1000);
-}
-
-TEST(WindowedHistogramTest, QuantilesFollowTheWindowNotTheRun) {
-  WindowedHistogram W(0, 1000, 1000, 2);
-  for (int I = 0; I < 100; ++I)
-    W.record(10.0); // old regime: fast
-  W.rotate();
-  W.rotate(); // old regime fully expired
-  for (int I = 0; I < 100; ++I)
-    W.record(900.0); // new regime: slow
-  // A cumulative histogram would report p50 ~ 10 or a mix; the window
-  // reports only the current regime.
-  EXPECT_GT(W.merged().quantile(0.5), 800.0);
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Merged().count(), Written[0].load() + Written[1].load());
 }
 
 } // namespace

@@ -52,22 +52,29 @@ TEST(MetricsTest, GaugesOverwrite) {
   EXPECT_EQ(M.gauges().at("g"), 2.5);
 }
 
-TEST(MetricsTest, HistogramRecordsAndSummarizes) {
+TEST(MetricsTest, HistogramIsReplacedBySetHistogram) {
   MetricsRegistry M;
-  auto &H = M.histogram("lat", 0, 100, 10);
-  H.recordAll({5, 15, 15, 95});
-  EXPECT_EQ(H.count(), 4u);
-  Histogram Snap = H.snapshot();
-  EXPECT_EQ(Snap.total(), 4u);
-  // Shape parameters of later calls are ignored; same object returned.
-  EXPECT_EQ(&M.histogram("lat", 0, 1, 1), &H);
+  LatencyHistogram H;
+  H.record(5);
+  M.setHistogram("lat", H);
+  H.record(15);
+  H.record(95);
+  M.setHistogram("lat", H); // a later sample replaces the earlier one
+  json::Value J = M.toJson();
+  const json::Value *Lat = J.find("histograms")->find("lat");
+  ASSERT_NE(Lat, nullptr);
+  EXPECT_EQ(Lat->find("count")->asNumber(), 3.0);
+  EXPECT_EQ(Lat->find("max")->asNumber(), 95.0);
+  EXPECT_NE(M.toString().find("lat: n=3"), std::string::npos);
 }
 
 TEST(MetricsTest, ToJsonSchema) {
   MetricsRegistry M;
   M.counter("runtime.tasks").set(3);
   M.setGauge("runtime.outstanding", 0);
-  M.histogram("resp", 0, 10, 5).record(2.0);
+  LatencyHistogram H;
+  H.record(2.0);
+  M.setHistogram("resp", H);
   json::Value J = M.toJson();
   ASSERT_TRUE(J.isObject());
   const json::Value *C = J.find("counters");
@@ -76,13 +83,12 @@ TEST(MetricsTest, ToJsonSchema) {
   const json::Value *G = J.find("gauges");
   ASSERT_NE(G, nullptr);
   EXPECT_TRUE(G->contains("runtime.outstanding"));
-  const json::Value *H = J.find("histograms");
-  ASSERT_NE(H, nullptr);
-  const json::Value *R = H->find("resp");
+  const json::Value *Hs = J.find("histograms");
+  ASSERT_NE(Hs, nullptr);
+  const json::Value *R = Hs->find("resp");
   ASSERT_NE(R, nullptr);
   EXPECT_EQ(R->find("count")->asNumber(), 1.0);
-  ASSERT_NE(R->find("buckets"), nullptr);
-  EXPECT_TRUE(R->find("buckets")->isArray());
+  EXPECT_EQ(R->find("p99")->asNumber(), 2.0);
   // And it parses back from text.
   auto Back = json::parse(J.dump(2));
   ASSERT_TRUE(Back.has_value());

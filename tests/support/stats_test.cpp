@@ -4,9 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <thread>
 #include <vector>
 
 namespace repro {
@@ -61,136 +59,11 @@ TEST(SummarizeTest, EmptySummaryIsZeroed) {
   EXPECT_EQ(S.Mean, 0.0);
 }
 
-TEST(LatencyRecorderTest, RecordAndSummarize) {
-  LatencyRecorder R;
-  R.record(10);
-  R.record(20);
-  R.recordAll({30, 40});
-  EXPECT_EQ(R.count(), 4u);
-  EXPECT_DOUBLE_EQ(R.summary().Mean, 25.0);
-}
-
-TEST(LatencyRecorderTest, ClearDropsSamples) {
-  LatencyRecorder R;
-  R.record(1);
-  R.clear();
-  EXPECT_EQ(R.count(), 0u);
-}
-
-TEST(LatencyRecorderTest, ConcurrentRecordersDoNotLoseSamples) {
-  LatencyRecorder R;
-  constexpr int PerThread = 5000;
-  constexpr int NumThreads = 4;
-  std::vector<std::thread> Ts;
-  for (int T = 0; T < NumThreads; ++T)
-    Ts.emplace_back([&R] {
-      for (int I = 0; I < PerThread; ++I)
-        R.record(1.0);
-    });
-  for (auto &T : Ts)
-    T.join();
-  EXPECT_EQ(R.count(), static_cast<std::size_t>(PerThread * NumThreads));
-}
-
 TEST(ToStringTest, MentionsCountAndPercentiles) {
   LatencySummary S = summarize({1, 2, 3});
   std::string Str = toString(S);
   EXPECT_NE(Str.find("n=3"), std::string::npos);
   EXPECT_NE(Str.find("p95"), std::string::npos);
-}
-
-TEST(ShardedLatencyRecorderTest, SummaryMatchesUnshardedRecorder) {
-  // Equivalence with the mutex recorder it replaced in the scheduler:
-  // same samples in (spread across shards), same summary out.
-  ShardedLatencyRecorder Sharded(4);
-  LatencyRecorder Plain;
-  for (int I = 0; I < 2000; ++I) {
-    double V = static_cast<double>((I * 37) % 1000);
-    Sharded.record(static_cast<unsigned>(I % 4), V);
-    Plain.record(V);
-  }
-  EXPECT_EQ(Sharded.count(), Plain.count());
-  LatencySummary A = Sharded.summary();
-  LatencySummary B = Plain.summary();
-  EXPECT_EQ(A.Count, B.Count);
-  EXPECT_DOUBLE_EQ(A.Mean, B.Mean);
-  EXPECT_DOUBLE_EQ(A.P50, B.P50);
-  EXPECT_DOUBLE_EQ(A.P95, B.P95);
-  EXPECT_DOUBLE_EQ(A.Min, B.Min);
-  EXPECT_DOUBLE_EQ(A.Max, B.Max);
-}
-
-TEST(ShardedLatencyRecorderTest, CrossesChunkBoundaries) {
-  // > 512 samples on one shard forces chunk-table growth mid-recording.
-  ShardedLatencyRecorder R(1);
-  constexpr int N = 512 * 3 + 100;
-  for (int I = 0; I < N; ++I)
-    R.record(0, static_cast<double>(I));
-  EXPECT_EQ(R.count(), static_cast<std::size_t>(N));
-  auto S = R.samples();
-  ASSERT_EQ(S.size(), static_cast<std::size_t>(N));
-  for (int I = 0; I < N; ++I)
-    EXPECT_EQ(S[static_cast<std::size_t>(I)], static_cast<double>(I));
-}
-
-TEST(ShardedLatencyRecorderTest, SamplesSincePartitionsTheStream) {
-  // The samplesSince contract the telemetry sampler and the incremental
-  // sampleMetrics cursors rely on: consecutive harvests with a running
-  // consumed count see every sample exactly once, in a stable order.
-  ShardedLatencyRecorder R(2);
-  std::vector<double> Harvested;
-  std::size_t Consumed = 0;
-  for (int Round = 0; Round < 10; ++Round) {
-    for (int I = 0; I < 100; ++I)
-      R.record(static_cast<unsigned>(I % 2),
-               static_cast<double>(Round * 100 + I));
-    auto Fresh = R.samplesSince(Consumed);
-    Consumed += Fresh.size();
-    Harvested.insert(Harvested.end(), Fresh.begin(), Fresh.end());
-  }
-  EXPECT_EQ(Consumed, R.count());
-  EXPECT_EQ(Harvested.size(), 1000u);
-  // Same multiset as a full read (merge order interleaves shards, so
-  // compare sorted).
-  auto All = R.samples();
-  std::sort(All.begin(), All.end());
-  std::sort(Harvested.begin(), Harvested.end());
-  EXPECT_EQ(Harvested, All);
-  // Past-the-end harvests are empty, not UB.
-  EXPECT_TRUE(R.samplesSince(Consumed).empty());
-  EXPECT_TRUE(R.samplesSince(Consumed + 100).empty());
-}
-
-TEST(ShardedLatencyRecorderTest, SingleWriterPerShardConcurrentWithReaders) {
-  // One writer thread per shard (the runtime's contract) while a reader
-  // polls merged views: no sample lost, no torn value ever observed.
-  constexpr unsigned Shards = 4;
-  constexpr int PerShard = 20000;
-  ShardedLatencyRecorder R(Shards);
-  std::vector<std::thread> Writers;
-  for (unsigned S = 0; S < Shards; ++S)
-    Writers.emplace_back([&R, S] {
-      for (int I = 0; I < PerShard; ++I)
-        R.record(S, 42.0);
-    });
-  std::size_t LastCount = 0;
-  for (int Poll = 0; Poll < 50; ++Poll) {
-    auto Snap = R.samples();
-    EXPECT_GE(Snap.size(), LastCount); // append-only view
-    LastCount = Snap.size();
-    for (double V : Snap)
-      EXPECT_EQ(V, 42.0); // published slots are fully written
-  }
-  for (auto &W : Writers)
-    W.join();
-  EXPECT_EQ(R.count(), static_cast<std::size_t>(Shards) * PerShard);
-}
-
-TEST(ShardedLatencyRecorderTest, ZeroShardsClampsToOne) {
-  ShardedLatencyRecorder R(0);
-  EXPECT_EQ(R.shards(), 1u);
-  R.record(0, 1.0);
-  EXPECT_EQ(R.count(), 1u);
 }
 
 } // namespace
