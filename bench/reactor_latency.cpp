@@ -5,9 +5,12 @@
 // io_future (and a resumed task). Four scenarios over loopback sockets:
 //
 //   ready-fd completion    — data already buffered when the op is
-//                            submitted; measures pure reactor dispatch.
+//                            submitted; measures the inline path (the
+//                            submitter's own read completes the future,
+//                            the loop is never involved).
 //   cross-thread wakeup    — another thread writes after the op parks;
-//                            measures kernel wakeup → future completion.
+//                            measures kernel wakeup → loop → future
+//                            completion.
 //   sleepFor overshoot     — timer-heap precision (epoll_wait timeout
 //                            granularity).
 //   ftouch ping-pong RTT   — a runtime task round-trips a byte to an

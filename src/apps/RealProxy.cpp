@@ -10,6 +10,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -218,6 +219,13 @@ std::string makeResponse(int Status, const std::string &ContentType,
   return Out;
 }
 
+/// Turns Nagle off: the proxy writes each request and reply in one op, so
+/// holding a short tail back for an ACK only adds latency.
+void setNoDelay(int Fd) {
+  int One = 1;
+  ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof One);
+}
+
 /// RAII fd for the origin leg.
 struct OwnedFd {
   explicit OwnedFd(int Fd) : Fd(Fd) {}
@@ -278,9 +286,12 @@ struct RealProxy::Impl {
   std::atomic<bool> Stopping{false};
   std::atomic<bool> Stopped{false};
 
-  std::unique_ptr<TelemetryScope> Telemetry;
-  /// Declared last: destroyed before Rt and Io, while both still live.
+  /// Destroyed before Rt and Io, while both still live.
   std::unique_ptr<icilk::AdmissionController> Admission;
+  /// Declared last: destroyed first, so its health watcher (which reads
+  /// the admission controller through Rt.snapshot()) is joined before
+  /// the controller dies.
+  std::unique_ptr<TelemetryScope> Telemetry;
 };
 
 namespace {
@@ -309,6 +320,7 @@ std::optional<OriginResponse> fetchOrigin(RealProxy::Impl &S,
   OwnedFd Fd(::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
   if (Fd.Fd < 0)
     return std::nullopt;
+  setNoDelay(Fd.Fd);
   struct sockaddr_in Addr {};
   Addr.sin_family = AF_INET;
   Addr.sin_port = htons(S.Config.OriginPort);
@@ -550,6 +562,7 @@ void acceptLoop(RealProxy::Impl &S, Context<ProxyClient> &Ctx) {
       return; // shutdown (or listen socket gone)
     }
     S.Accepted.fetch_add(1, std::memory_order_relaxed);
+    setNoDelay(static_cast<int>(ClientFd));
     auto Conn = std::make_shared<Connection>(static_cast<int>(ClientFd));
     if (S.Spans) {
       // One trace per connection, rooted here. The instant "accept" child

@@ -41,8 +41,10 @@ AdmissionController::AdmissionController(Runtime &Rt, AdmissionConfig Cfg,
 }
 
 AdmissionController::~AdmissionController() {
-  // Detach from the runtime first: after this line no snapshot() embeds
-  // this controller's counters, so teardown cannot race a stats reader.
+  // Detach from the runtime first: after this line no new snapshot()
+  // embeds this controller's counters. A reader already inside
+  // sampleAdmission() is not fenced off — the owner must stop its stats
+  // readers (a Telemetry's health watcher, say) before destroying us.
   if (Rt.admission() == this)
     Rt.setAdmission(nullptr);
   // Close the sweep gate before anything else dies: a queue-timeout sweep

@@ -85,8 +85,8 @@ void EpollReactor::wakeLoop() {
 // Submission (any thread)
 //===----------------------------------------------------------------------===//
 
-void EpollReactor::submitOp(OpPtr O) {
-  switch (O->Kind) {
+void EpollReactor::submitOp(FdOp &O) {
+  switch (O.Kind) {
   case OpKind::Read:
     Reads.fetch_add(1, std::memory_order_relaxed);
     break;
@@ -100,13 +100,21 @@ void EpollReactor::submitOp(OpPtr O) {
     Connects.fetch_add(1, std::memory_order_relaxed);
     break;
   }
-  O->OpId = nextOpId();
-  O->State->setIoOpId(O->OpId);
-  O->Level = static_cast<uint8_t>(O->State->level());
+  O.OpId = nextOpId();
+  O.State->setIoOpId(O.OpId);
+  O.Level = static_cast<uint8_t>(O.State->level());
   Pending.fetch_add(1, std::memory_order_relaxed);
-  trace::emit(trace::EventKind::IoBegin, O->Level, O->OpId, 0);
+  trace::emit(trace::EventKind::IoBegin, O.Level, O.OpId, 0);
 
   FaultPlan::Decision D = drawFault();
+  if (D.K == FaultPlan::Kind::None && !Down.load(std::memory_order_acquire) &&
+      attempt(O)) {
+    // Finished on this thread: the future is ready before submit returns,
+    // so its toucher never suspends and the loop never hears of the op.
+    Inline.fetch_add(1, std::memory_order_relaxed);
+    finishOp(O);
+    return;
+  }
   bool DownNow;
   {
     std::lock_guard<std::mutex> Lock(Mutex);
@@ -114,27 +122,28 @@ void EpollReactor::submitOp(OpPtr O) {
     if (!DownNow) {
       switch (D.K) {
       case FaultPlan::Kind::None:
-        Queue.push_back(Incoming{std::move(O), -1});
+        // Would block: the loop parks it without re-issuing the syscall.
+        Queue.push_back(Incoming{std::make_shared<FdOp>(std::move(O)), -1});
         break;
       case FaultPlan::Kind::Fail:
         // A real op's latency is the kernel's to decide; an injected
         // failure surfaces on the next loop tick.
-        pushTimerLocked(0, [this, State = O->State, OpId = O->OpId,
-                            Level = O->Level, Code = D.Code] {
+        pushTimerLocked(0, [this, State = O.State, OpId = O.OpId,
+                            Level = O.Level, Code = D.Code] {
           failState(State, OpId, Level, Code, 0);
         });
         break;
       case FaultPlan::Kind::Delay:
-        // Hold the op on the timer heap, then submit it for real.
+        // Hold the op on the timer heap, then start it on the loop.
         pushTimerLocked(D.ExtraLatencyMicros,
-                        [this, O = std::move(O)]() mutable {
-                          startOp(std::move(O));
+                        [this, Op = std::make_shared<FdOp>(std::move(O))] {
+                          startOp(Op);
                         });
         break;
       case FaultPlan::Kind::Drop:
         pushTimerLocked(D.DropAfterMicros,
-                        [this, State = O->State, OpId = O->OpId,
-                         Level = O->Level, Code = D.Code] {
+                        [this, State = O.State, OpId = O.OpId,
+                         Level = O.Level, Code = D.Code] {
                           failState(State, OpId, Level, Code, 0);
                         });
         break;
@@ -142,7 +151,7 @@ void EpollReactor::submitOp(OpPtr O) {
     }
   }
   if (DownNow) {
-    failState(O->State, O->OpId, O->Level, IoErrc::Shutdown, 0);
+    failOp(O, IoErrc::Shutdown);
     return;
   }
   wakeLoop();
@@ -150,46 +159,46 @@ void EpollReactor::submitOp(OpPtr O) {
 
 void EpollReactor::submitRead(int Fd, void *Buf, std::size_t Len,
                               std::shared_ptr<FutureState<IoResult>> State) {
-  auto O = std::make_shared<FdOp>();
-  O->Kind = OpKind::Read;
-  O->Fd = Fd;
-  O->RBuf = Buf;
-  O->Len = Len;
-  O->State = std::move(State);
-  submitOp(std::move(O));
+  FdOp O;
+  O.Kind = OpKind::Read;
+  O.Fd = Fd;
+  O.RBuf = Buf;
+  O.Len = Len;
+  O.State = std::move(State);
+  submitOp(O);
 }
 
 void EpollReactor::submitWrite(int Fd, const void *Buf, std::size_t Len,
                                std::shared_ptr<FutureState<IoResult>> State) {
-  auto O = std::make_shared<FdOp>();
-  O->Kind = OpKind::Write;
-  O->Fd = Fd;
-  O->WBuf = Buf;
-  O->Len = Len;
-  O->State = std::move(State);
-  submitOp(std::move(O));
+  FdOp O;
+  O.Kind = OpKind::Write;
+  O.Fd = Fd;
+  O.WBuf = Buf;
+  O.Len = Len;
+  O.State = std::move(State);
+  submitOp(O);
 }
 
 void EpollReactor::submitAccept(int Fd,
                                 std::shared_ptr<FutureState<IoResult>> State) {
-  auto O = std::make_shared<FdOp>();
-  O->Kind = OpKind::Accept;
-  O->Fd = Fd;
-  O->State = std::move(State);
-  submitOp(std::move(O));
+  FdOp O;
+  O.Kind = OpKind::Accept;
+  O.Fd = Fd;
+  O.State = std::move(State);
+  submitOp(O);
 }
 
 void EpollReactor::submitConnect(int Fd, const struct sockaddr *Addr,
                                  socklen_t AddrLen,
                                  std::shared_ptr<FutureState<IoResult>> State) {
-  auto O = std::make_shared<FdOp>();
-  O->Kind = OpKind::Connect;
-  O->Fd = Fd;
-  if (AddrLen > 0 && AddrLen <= sizeof(O->Addr))
-    std::memcpy(&O->Addr, Addr, AddrLen);
-  O->AddrLen = AddrLen;
-  O->State = std::move(State);
-  submitOp(std::move(O));
+  FdOp O;
+  O.Kind = OpKind::Connect;
+  O.Fd = Fd;
+  if (AddrLen > 0 && AddrLen <= sizeof(O.Addr))
+    std::memcpy(&O.Addr, Addr, AddrLen);
+  O.AddrLen = AddrLen;
+  O.State = std::move(State);
+  submitOp(O);
 }
 
 void EpollReactor::submitTimer(uint64_t LatencyMicros,
@@ -271,7 +280,7 @@ void EpollReactor::fireDueTimers() {
 }
 
 //===----------------------------------------------------------------------===//
-// The loop (one thread; sole owner of Fds and all fd syscalls)
+// The loop (one thread; sole owner of Fds and of every parked op's syscalls)
 //===----------------------------------------------------------------------===//
 
 void EpollReactor::loop() {
@@ -304,7 +313,7 @@ void EpollReactor::loop() {
     }
     for (Incoming &In : Batch) {
       if (In.Op)
-        startOp(std::move(In.Op));
+        parkOp(std::move(In.Op));
       else if (In.CancelFd >= 0)
         cancelFdOnLoop(In.CancelFd);
     }
@@ -325,33 +334,33 @@ void EpollReactor::loop() {
 
 void EpollReactor::startOp(OpPtr O) {
   if (Down.load(std::memory_order_acquire)) {
-    // A delayed (fault-plan) op resubmitted after shutdown.
-    failOp(std::move(O), IoErrc::Shutdown);
+    // A delayed op whose timer fired early, at shutdown.
+    failOp(*O, IoErrc::Shutdown);
     return;
   }
-  if (attempt(O)) {
-    finishOp(std::move(O));
+  if (attempt(*O)) {
+    finishOp(*O);
     return;
   }
   parkOp(std::move(O));
 }
 
-bool EpollReactor::attempt(OpPtr &O) {
+bool EpollReactor::attempt(FdOp &O) {
   auto Ok = [&](IoResult R) {
-    O->Failed = false;
-    O->Result = R;
+    O.Failed = false;
+    O.Result = R;
     return true;
   };
   auto Fail = [&](IoErrc C, int E) {
-    O->Failed = true;
-    O->Err = C;
-    O->Errno = E;
+    O.Failed = true;
+    O.Err = C;
+    O.Errno = E;
     return true;
   };
-  switch (O->Kind) {
+  switch (O.Kind) {
   case OpKind::Read:
     for (;;) {
-      ssize_t N = ::read(O->Fd, O->RBuf, O->Len);
+      ssize_t N = ::read(O.Fd, O.RBuf, O.Len);
       if (N >= 0)
         return Ok(static_cast<IoResult>(N));
       if (errno == EINTR)
@@ -362,7 +371,7 @@ bool EpollReactor::attempt(OpPtr &O) {
     }
   case OpKind::Accept:
     for (;;) {
-      int Client = ::accept4(O->Fd, nullptr, nullptr,
+      int Client = ::accept4(O.Fd, nullptr, nullptr,
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
       if (Client >= 0)
         return Ok(static_cast<IoResult>(Client));
@@ -374,12 +383,12 @@ bool EpollReactor::attempt(OpPtr &O) {
     }
   case OpKind::Write:
     for (;;) {
-      if (O->Done >= O->Len)
-        return Ok(static_cast<IoResult>(O->Len));
-      ssize_t N = ::write(O->Fd, static_cast<const char *>(O->WBuf) + O->Done,
-                          O->Len - O->Done);
+      if (O.Done >= O.Len)
+        return Ok(static_cast<IoResult>(O.Len));
+      ssize_t N = ::write(O.Fd, static_cast<const char *>(O.WBuf) + O.Done,
+                          O.Len - O.Done);
       if (N > 0) {
-        O->Done += static_cast<std::size_t>(N);
+        O.Done += static_cast<std::size_t>(N);
         continue;
       }
       if (N < 0 && errno == EINTR)
@@ -390,22 +399,25 @@ bool EpollReactor::attempt(OpPtr &O) {
                   N < 0 ? errno : 0);
     }
   case OpKind::Connect:
-    if (!O->ConnectIssued) {
+    if (!O.ConnectIssued) {
       // EINTR on connect means it proceeds asynchronously, same as
       // EINPROGRESS — never re-issue the syscall.
-      int R = ::connect(O->Fd, reinterpret_cast<struct sockaddr *>(&O->Addr),
-                        O->AddrLen);
+      int R = ::connect(O.Fd, reinterpret_cast<struct sockaddr *>(&O.Addr),
+                        O.AddrLen);
       if (R == 0)
         return Ok(0);
       if (errno == EINPROGRESS || errno == EINTR || errno == EAGAIN) {
-        O->ConnectIssued = true;
+        O.ConnectIssued = true;
         return false; // resolved by the EPOLLOUT edge
       }
       return Fail(errcFromErrno(errno), errno);
     } else {
+      // Only ever reached from a readiness edge: before the handshake
+      // resolves SO_ERROR reads 0 too, so polling it early would report a
+      // connect still in flight as done.
       int Err = 0;
       socklen_t Len = sizeof Err;
-      if (::getsockopt(O->Fd, SOL_SOCKET, SO_ERROR, &Err, &Len) < 0)
+      if (::getsockopt(O.Fd, SOL_SOCKET, SO_ERROR, &Err, &Len) < 0)
         Err = errno;
       if (Err == 0)
         return Ok(0);
@@ -417,15 +429,11 @@ bool EpollReactor::attempt(OpPtr &O) {
   return true; // unreachable
 }
 
-void EpollReactor::finishOp(OpPtr O) {
-  if (O->Failed) {
-    IoErrc C = O->Err;
-    int E = O->Errno;
-    failOp(std::move(O), C, E);
-  } else {
-    IoResult R = O->Result;
-    completeOp(std::move(O), R);
-  }
+void EpollReactor::finishOp(FdOp &O) {
+  if (O.Failed)
+    failOp(O, O.Err, O.Errno);
+  else
+    completeOp(O, O.Result);
 }
 
 void EpollReactor::parkOp(OpPtr O) {
@@ -436,7 +444,7 @@ void EpollReactor::parkOp(OpPtr O) {
   if (Slot) {
     // One op per direction per fd: a second concurrent one is a caller
     // bug, surfaced loudly rather than silently queued.
-    failOp(std::move(O), IoErrc::OsError, EBUSY);
+    failOp(*O, IoErrc::OsError, EBUSY);
     return;
   }
   Slot = std::move(O);
@@ -463,16 +471,17 @@ void EpollReactor::rearm(int Fd) {
   Ev.events = Want | EPOLLET;
   Ev.data.fd = Fd;
   if (S.Armed == 0) {
-    // ADD reports current readiness as an initial edge, so a byte that
-    // landed between the EAGAIN attempt and this registration is not lost.
+    // ADD (like MOD below) reports current readiness as an initial edge,
+    // so a byte that landed between the submitter's EAGAIN and this
+    // registration is not lost.
     if (::epoll_ctl(EpollFd, EPOLL_CTL_ADD, Fd, &Ev) < 0) {
       int E = errno;
       OpPtr R = std::move(S.ReadOp), W = std::move(S.WriteOp);
       Fds.erase(It);
       if (R)
-        failOp(std::move(R), errcFromErrno(E), E);
+        failOp(*R, errcFromErrno(E), E);
       if (W)
-        failOp(std::move(W), errcFromErrno(E), E);
+        failOp(*W, errcFromErrno(E), E);
       return;
     }
   } else if (S.Armed != (Want | EPOLLET)) {
@@ -488,28 +497,19 @@ void EpollReactor::onFdEvent(int Fd, uint32_t Events) {
   FdState &S = It->second;
   bool ErrEdge = (Events & (EPOLLERR | EPOLLHUP)) != 0;
   OpPtr FinishedR, FinishedW;
-  if (S.ReadOp && (ErrEdge || (Events & (EPOLLIN | EPOLLRDHUP)))) {
-    OpPtr O = std::move(S.ReadOp);
-    if (attempt(O))
-      FinishedR = std::move(O);
-    else
-      S.ReadOp = std::move(O);
-  }
-  if (S.WriteOp && (ErrEdge || (Events & EPOLLOUT))) {
-    OpPtr O = std::move(S.WriteOp);
-    if (attempt(O))
-      FinishedW = std::move(O);
-    else
-      S.WriteOp = std::move(O);
-  }
+  if (S.ReadOp && (ErrEdge || (Events & (EPOLLIN | EPOLLRDHUP))) &&
+      attempt(*S.ReadOp))
+    FinishedR = std::move(S.ReadOp);
+  if (S.WriteOp && (ErrEdge || (Events & EPOLLOUT)) && attempt(*S.WriteOp))
+    FinishedW = std::move(S.WriteOp);
   // Deregister BEFORE publishing completions: the moment a future reads
   // ready its submitter may close the fd, so the loop must already have
   // dropped every reference (epoll_ctl included) by then.
   rearm(Fd); // drops the registration when both slots emptied
   if (FinishedR)
-    finishOp(std::move(FinishedR));
+    finishOp(*FinishedR);
   if (FinishedW)
-    finishOp(std::move(FinishedW));
+    finishOp(*FinishedW);
 }
 
 void EpollReactor::cancelFdOnLoop(int Fd) {
@@ -522,20 +522,20 @@ void EpollReactor::cancelFdOnLoop(int Fd) {
     ::epoll_ctl(EpollFd, EPOLL_CTL_DEL, Fd, nullptr);
   Fds.erase(It);
   if (R)
-    failOp(std::move(R), IoErrc::Cancelled);
+    failOp(*R, IoErrc::Cancelled);
   if (W)
-    failOp(std::move(W), IoErrc::Cancelled);
+    failOp(*W, IoErrc::Cancelled);
 }
 
 //===----------------------------------------------------------------------===//
 // Completion
 //===----------------------------------------------------------------------===//
 
-void EpollReactor::completeOp(OpPtr O, IoResult R) {
+void EpollReactor::completeOp(FdOp &O, IoResult R) {
   Done.fetch_add(1, std::memory_order_relaxed);
   Pending.fetch_sub(1, std::memory_order_relaxed);
-  trace::emit(trace::EventKind::IoComplete, O->Level, O->OpId);
-  dispatch(O->State->complete(R));
+  trace::emit(trace::EventKind::IoComplete, O.Level, O.OpId);
+  dispatch(O.State->complete(R));
 }
 
 void EpollReactor::failState(std::shared_ptr<FutureState<IoResult>> State,
@@ -549,8 +549,8 @@ void EpollReactor::failState(std::shared_ptr<FutureState<IoResult>> State,
       State->completeError(std::make_exception_ptr(IoError(Code, Errno))));
 }
 
-void EpollReactor::failOp(OpPtr O, IoErrc Code, int Errno) {
-  failState(O->State, O->OpId, O->Level, Code, Errno);
+void EpollReactor::failOp(FdOp &O, IoErrc Code, int Errno) {
+  failState(O.State, O.OpId, O.Level, Code, Errno);
 }
 
 //===----------------------------------------------------------------------===//
@@ -581,14 +581,14 @@ void EpollReactor::shutdown() {
   }
   for (Incoming &In : Batch)
     if (In.Op)
-      failOp(std::move(In.Op), IoErrc::Shutdown);
+      failOp(*In.Op, IoErrc::Shutdown);
   for (auto &[Fd, S] : Fds) {
     if (S.Armed)
       ::epoll_ctl(EpollFd, EPOLL_CTL_DEL, Fd, nullptr);
     if (S.ReadOp)
-      failOp(std::move(S.ReadOp), IoErrc::Shutdown);
+      failOp(*S.ReadOp, IoErrc::Shutdown);
     if (S.WriteOp)
-      failOp(std::move(S.WriteOp), IoErrc::Shutdown);
+      failOp(*S.WriteOp, IoErrc::Shutdown);
   }
   Fds.clear();
   // Pending timers fire early (matching SimIo's teardown semantics), so
@@ -616,6 +616,7 @@ void EpollReactor::sampleBackendMetrics(repro::MetricsRegistry &M,
   M.counter(Prefix + ".accepts").set(accepts());
   M.counter(Prefix + ".connects").set(connects());
   M.counter(Prefix + ".loop_wakeups").set(loopWakeups());
+  M.counter(Prefix + ".inline").set(inlineOps());
 }
 
 } // namespace repro::icilk

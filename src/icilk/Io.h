@@ -15,14 +15,18 @@
 //   * SimIo (SimIo.h) — the original timer-heap simulation. Operations are
 //     latency models, not syscalls; every pre-existing app/bench/test runs
 //     on it unchanged in behaviour.
-//   * EpollReactor (EpollReactor.h) — real nonblocking file descriptors
+//   * EpollReactor (EpollReactor.h) — real nonblocking file descriptors,
+//     tried first on the submitting thread; an op that would block is
 //     completed from an edge-triggered epoll loop, with the timer heap
 //     unified into the same loop (epoll_wait timeout = next deadline).
 //
 // Backend selection is a constructor choice: code that holds an `Io&` works
 // on either, with no #ifdefs. The property the paper's evaluation relies on
-// is the interface contract: starting an operation never occupies a worker,
-// and completion wakes the toucher through the future's waiter list.
+// is the interface contract: starting an operation never blocks a worker.
+// The submitter may spend one nonblocking syscall on it, and an op whose
+// result is already available (queued bytes, send-buffer room, a pending
+// connection) may return an already-completed future; every other op
+// completes later and wakes its toucher through the future's waiter list.
 //
 // The metrics prefix is mandatory at construction (not a sampleMetrics
 // default): with two backends alive in one process (a sim origin and a real
@@ -189,8 +193,9 @@ public:
   void sampleMetrics(repro::MetricsRegistry &M) const;
 
 protected:
-  /// Type-erased submission hooks, one per public op. A backend either
-  /// arranges completion (any thread) or completes erroneously right away.
+  /// Type-erased submission hooks, one per public op. A backend completes
+  /// the state right away (successfully, or erroneously) or arranges its
+  /// completion on any thread; it never blocks the caller.
   virtual void submitRead(int Fd, void *Buf, std::size_t Len,
                           std::shared_ptr<FutureState<IoResult>> State) = 0;
   virtual void submitWrite(int Fd, const void *Buf, std::size_t Len,

@@ -465,6 +465,9 @@ TEST(RealProxyTest, MetricsDumpCarriesBackendAndProxyCounters) {
   EXPECT_EQ(M.counter("realproxy.requests").value(), 1u);
   EXPECT_GE(M.counter("proxy.io.accepts").value(), 1u);
   EXPECT_GE(M.counter("proxy.io.connects").value(), 1u);
+  EXPECT_GE(M.counter("proxy.io.inline").value(), 2u)
+      << "the origin request and the reply fit their send buffers: both "
+         "writes must finish on the submitting worker";
 }
 
 } // namespace

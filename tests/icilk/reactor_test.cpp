@@ -65,30 +65,39 @@ struct UnixPair {
   int A = -1, B = -1;
 };
 
+struct sockaddr *asSockaddr(struct sockaddr_in &Addr) {
+  return reinterpret_cast<struct sockaddr *>(&Addr);
+}
+
+/// A TCP listener on an ephemeral loopback port (socket type flags
+/// \p Flags added), its address in \p Addr; -1 on failure.
+int listenLoopback(int Backlog, struct sockaddr_in &Addr, int Flags = 0) {
+  int L = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | Flags, 0);
+  Addr = {};
+  Addr.sin_family = AF_INET;
+  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t Len = sizeof Addr;
+  if (L >= 0 && (::bind(L, asSockaddr(Addr), sizeof Addr) != 0 ||
+                 ::listen(L, Backlog) != 0 ||
+                 ::getsockname(L, asSockaddr(Addr), &Len) != 0)) {
+    ::close(L);
+    L = -1;
+  }
+  return L;
+}
+
 /// A connected nonblocking TCP loopback pair (Client, Server). TCP is
 /// needed where AF_UNIX can't express the scenario: RST generation and
 /// kernel-bounded send buffers.
 struct TcpPair {
   TcpPair() { setup(); }
   void setup() {
-    int L = ::socket(AF_INET, SOCK_STREAM, 0);
+    struct sockaddr_in Addr;
+    int L = listenLoopback(1, Addr);
     ASSERT_GE(L, 0);
-    struct sockaddr_in Addr {};
-    Addr.sin_family = AF_INET;
-    Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    ASSERT_EQ(::bind(L, reinterpret_cast<struct sockaddr *>(&Addr),
-                     sizeof Addr),
-              0);
-    ASSERT_EQ(::listen(L, 1), 0);
-    socklen_t Len = sizeof Addr;
-    ASSERT_EQ(::getsockname(L, reinterpret_cast<struct sockaddr *>(&Addr),
-                            &Len),
-              0);
     Client = ::socket(AF_INET, SOCK_STREAM, 0);
     ASSERT_GE(Client, 0);
-    ASSERT_EQ(::connect(Client, reinterpret_cast<struct sockaddr *>(&Addr),
-                        sizeof Addr),
-              0);
+    ASSERT_EQ(::connect(Client, asSockaddr(Addr), sizeof Addr), 0);
     Server = ::accept(L, nullptr, nullptr);
     ASSERT_GE(Server, 0);
     ::close(L);
@@ -133,16 +142,50 @@ TEST(ReactorTest, TimersFireInDeadlineOrder) {
 }
 
 TEST(ReactorTest, ReadCompletesWhenDataAlreadyBuffered) {
-  // EPOLL_CTL_ADD must report pre-existing readiness as an initial edge:
-  // data written *before* the op is submitted still completes it.
+  // Data written *before* the op is submitted completes it on the
+  // submitting thread: the future is ready when read() returns and the
+  // loop never wakes. (The EPOLL_CTL_ADD initial edge now only covers
+  // bytes that land between the submitter's EAGAIN and the loop's
+  // registration.)
   EpollReactor Io{"rx"};
   UnixPair P;
   ASSERT_EQ(::write(P.B, "hello", 5), 5);
+  uint64_t Wakeups = Io.loopWakeups();
   char Buf[16];
   auto F = Io.read<High>(P.A, Buf, sizeof Buf);
-  spinReady(F);
+  ASSERT_TRUE(F.isReady());
   EXPECT_EQ(F.state()->value(), 5);
   EXPECT_EQ(std::memcmp(Buf, "hello", 5), 0);
+  EXPECT_EQ(Io.inlineOps(), 1u);
+  EXPECT_EQ(Io.loopWakeups(), Wakeups);
+}
+
+TEST(ReactorTest, WriteAndAcceptThatCanFinishCompleteInline) {
+  // A write that fits the send buffer and an accept with a connection
+  // already queued finish on the submitting thread too.
+  EpollReactor Io{"rx"};
+  uint64_t Wakeups = Io.loopWakeups();
+  UnixPair P;
+  auto W = Io.write<Low>(P.A, "ping", 4);
+  ASSERT_TRUE(W.isReady());
+  EXPECT_EQ(W.state()->value(), 4);
+  EXPECT_EQ(Io.inlineOps(), 1u);
+
+  struct sockaddr_in Addr;
+  int L = listenLoopback(4, Addr, SOCK_NONBLOCK);
+  ASSERT_GE(L, 0);
+  int C = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(C, 0);
+  ASSERT_EQ(::connect(C, asSockaddr(Addr), sizeof Addr), 0);
+  auto A = Io.accept<High>(L);
+  ASSERT_TRUE(A.isReady());
+  int S = static_cast<int>(A.state()->value());
+  EXPECT_GE(S, 0);
+  EXPECT_EQ(Io.inlineOps(), 2u);
+  EXPECT_EQ(Io.loopWakeups(), Wakeups);
+  ::close(S);
+  ::close(C);
+  ::close(L);
 }
 
 TEST(ReactorTest, ReadParksUntilDataArrives) {
@@ -255,23 +298,14 @@ TEST(ReactorTest, PeerResetSurfacesAsIoError) {
 TEST(ReactorTest, AcceptAndConnectOverLoopback) {
   EpollReactor Io{"rx"};
   // Nonblocking listener, reactor-driven accept + connect.
-  int L = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  struct sockaddr_in Addr;
+  int L = listenLoopback(4, Addr, SOCK_NONBLOCK);
   ASSERT_GE(L, 0);
-  struct sockaddr_in Addr {};
-  Addr.sin_family = AF_INET;
-  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(
-      ::bind(L, reinterpret_cast<struct sockaddr *>(&Addr), sizeof Addr), 0);
-  ASSERT_EQ(::listen(L, 4), 0);
-  socklen_t Len = sizeof Addr;
-  ASSERT_EQ(
-      ::getsockname(L, reinterpret_cast<struct sockaddr *>(&Addr), &Len), 0);
 
   auto Accepted = Io.accept<High>(L);
   int C = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   ASSERT_GE(C, 0);
-  auto Connected = Io.connect<Low>(
-      C, reinterpret_cast<struct sockaddr *>(&Addr), sizeof Addr);
+  auto Connected = Io.connect<Low>(C, asSockaddr(Addr), sizeof Addr);
   spinReady(Connected);
   EXPECT_EQ(Connected.state()->value(), 0);
   spinReady(Accepted);
@@ -295,6 +329,41 @@ TEST(ReactorTest, AcceptAndConnectOverLoopback) {
   ::close(S);
   ::close(C);
   ::close(L);
+}
+
+TEST(ReactorTest, ConnectWaitsForTheHandshakeItIssued) {
+  // A connect that gets EINPROGRESS is parked, never re-issued: while the
+  // handshake is in flight SO_ERROR reads 0, so polling it early would
+  // report success. A full accept queue (backlog 1 holds two un-accepted
+  // connections) makes the kernel drop our SYN; the connect may resolve
+  // only after one of them is accepted and the SYN retransmit (~1 s)
+  // lands.
+  EpollReactor Io{"rx"};
+  struct sockaddr_in Addr;
+  int L = listenLoopback(1, Addr);
+  ASSERT_GE(L, 0);
+  int Fillers[2];
+  for (int &Fd : Fillers) {
+    Fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(Fd, 0);
+    ASSERT_EQ(::connect(Fd, asSockaddr(Addr), sizeof Addr), 0);
+  }
+
+  int C = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  ASSERT_GE(C, 0);
+  auto F = Io.connect<Low>(C, asSockaddr(Addr), sizeof Addr);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_FALSE(F.isReady()) << "the accept queue is full: no handshake yet";
+
+  int S1 = ::accept(L, nullptr, nullptr);
+  ASSERT_GE(S1, 0);
+  uint64_t Deadline = repro::nowMicros() + 10'000'000;
+  while (!F.isReady() && repro::nowMicros() < Deadline)
+    std::this_thread::yield();
+  ASSERT_TRUE(F.isReady()) << "the retransmitted SYN never completed it";
+  EXPECT_EQ(F.state()->value(), 0);
+  for (int Fd : {S1, C, Fillers[0], Fillers[1], L})
+    ::close(Fd);
 }
 
 TEST(ReactorTest, CancelFdFailsParkedOps) {
@@ -332,7 +401,9 @@ TEST(ReactorTest, ShutdownFailsInFlightAndSubsequentOps) {
   }
   EXPECT_TRUE(TimerRan.load()) << "pending timers fire early at shutdown";
 
-  // Post-shutdown submissions fail immediately (no hang, no crash).
+  // Post-shutdown submissions fail immediately (no hang, no crash) —
+  // even on a readable fd: the shutdown check precedes the syscall.
+  ASSERT_EQ(::write(P.B, "late", 4), 4);
   auto Late = Io.read<Low>(P.A, Buf, sizeof Buf);
   ASSERT_TRUE(Late.isReady());
   try {
@@ -427,6 +498,7 @@ TEST(ReactorTest, MetricsCarryBackendCounters) {
   EXPECT_EQ(M.counter("rxm.completed").value(), 1u);
   EXPECT_EQ(M.counter("rxm.reads").value(), 1u);
   EXPECT_EQ(M.counter("rxm.writes").value(), 0u);
+  EXPECT_EQ(M.counter("rxm.inline").value(), 1u);
 }
 
 } // namespace
