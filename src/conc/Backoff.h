@@ -15,7 +15,8 @@ namespace repro::conc {
 
 /// Exponential backoff: spin a growing number of pause iterations, then
 /// start yielding to the OS. Used by retry loops in the lock-free
-/// structures and by idle workers.
+/// structures and by the short waits around them (a future's spinlock, a
+/// full injection ring, drain). Idle workers never spin: they park.
 class Backoff {
 public:
   /// One wait, longer than the last (up to a yield).

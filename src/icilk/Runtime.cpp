@@ -269,17 +269,14 @@ int Runtime::resolveAffinityWorker(const AffinityHint &H,
 
 bool Runtime::tryMailboxDeliver(unsigned WorkerIdx, Task *T) {
   Worker &W = *Workers[WorkerIdx];
-  // A parked target is pressure: delivering to it would spend a futex
-  // wakeup on locality the sleeping cache no longer has. An occupied box
-  // is pressure too. Both fall back to the shared path.
-  if (W.ParkedFlag.load(std::memory_order_seq_cst))
-    return false;
+  // An occupied box is pressure: fall back to the shared path. A parked
+  // target is not — workers park on their first empty scan, so it went
+  // idle microseconds ago and its cache is still warm.
   Task *Expected = nullptr;
   if (!W.Mailbox.compare_exchange_strong(Expected, T,
                                          std::memory_order_seq_cst,
                                          std::memory_order_relaxed))
     return false;
-  // The target may have begun parking between the flag check and the CAS.
   // Re-read the flag (seq_cst): if the owner's park-time mailbox re-check
   // did not see this CAS, then under SC its earlier flag store is visible
   // here, and the notify wakes it. See Worker::Mailbox's comment.
@@ -575,9 +572,7 @@ void Runtime::workerLoop(unsigned Index) {
   CurrentWorkerIndex = Index;
   trace::setThreadName("worker " + std::to_string(Index));
   Worker &W = *Workers[Index];
-  conc::Backoff B;
   bool HadWork = true; // throttles steal-fail events to one per episode
-  unsigned IdleScans = 0;
   publishStatus(W, WorkerState::Stealing,
                 static_cast<uint8_t>(
                     Config.PriorityAware ? W.AssignedLevel.load() : 0u),
@@ -621,24 +616,20 @@ void Runtime::workerLoop(unsigned Index) {
     }
     if (T) {
       runTask(T, W, Counted);
-      B.reset();
       HadWork = true;
-      IdleScans = 0;
       continue;
     }
-    // Emit at the transition into idleness, not per spin iteration — an
-    // idle worker scans thousands of times per second and would flush the
-    // whole ring with steal-fail noise.
+    // Emit at the transition into idleness, not per scan — a worker whose
+    // park re-check keeps standing down rescans many times per episode
+    // and would flush the whole ring with steal-fail noise.
     if (HadWork) {
       trace::emit(trace::EventKind::StealFail, static_cast<uint8_t>(Q), 0);
       HadWork = false;
     }
-    if (++IdleScans < Config.IdleScansBeforePark) {
-      B.pause();
-      continue;
-    }
-    // Enough fruitless scans: park until an enqueue (or shutdown) rings
-    // the event count. The registration/re-check order is the consumer
+    // One fruitless full scan: park until an enqueue (or shutdown) rings
+    // the event count. There is no spin phase — on an I/O-bound runtime
+    // the cores mostly wait, and spinning there cost more CPU than every
+    // futex wake it saved. The registration/re-check order is the consumer
     // half of the Dekker pairing described at enqueue — a submission
     // between the last scan and the futex sleep cannot be missed, because
     // its Pending increment either lands before the re-check (we stand
@@ -653,8 +644,6 @@ void Runtime::workerLoop(unsigned Index) {
         W.Mailbox.load(std::memory_order_seq_cst) != nullptr) {
       W.ParkedFlag.store(false, std::memory_order_relaxed);
       IdleEc.cancelWait();
-      IdleScans = 0;
-      B.reset();
       continue;
     }
     ParkedCount.fetch_add(1, std::memory_order_relaxed);
@@ -665,8 +654,6 @@ void Runtime::workerLoop(unsigned Index) {
     ParkedCount.fetch_sub(1, std::memory_order_relaxed);
     publishStatus(W, WorkerState::Stealing, static_cast<uint8_t>(Q), 0, 0,
                   repro::nowNanos());
-    IdleScans = 0;
-    B.reset();
   }
   CurrentRuntime = nullptr;
 }
@@ -676,6 +663,10 @@ void Runtime::masterLoop() {
   std::vector<double> Desire(Config.NumLevels, 1.0);
   std::vector<uint8_t> Satisfied(Config.NumLevels, 1);
   std::vector<unsigned> PrevGrant(Config.NumLevels, UINT_MAX);
+  // Per-quantum scratch, refilled in place: the loop allocates nothing.
+  std::vector<uint64_t> Work(Config.NumLevels);
+  std::vector<unsigned> Assigned(Config.NumLevels);
+  std::vector<unsigned> Grant(Config.NumLevels);
   const double QuantumNanos = static_cast<double>(Config.QuantumMicros) * 1000.0;
   uint64_t WatchdogLastCompleted = completedTotal();
   unsigned QuantaSinceProgress = 0;
@@ -704,11 +695,11 @@ void Runtime::masterLoop() {
                << " quanta; outstanding="
                << Outstanding.load(std::memory_order_relaxed)
                << " executed=" << Done << "; per-level [pending/assigned]:";
-          auto Assigned = countAssignments();
+          auto Counts = countAssignments();
           for (unsigned L = Config.NumLevels; L-- > 0;)
             Dump << " L" << L << "=["
                  << Pending[L].load(std::memory_order_relaxed) << "/"
-                 << Assigned[L] << "]";
+                 << Counts[L] << "]";
           repro::log(repro::LogLevel::Warn) << Dump.str();
         }
       } else {
@@ -718,8 +709,8 @@ void Runtime::masterLoop() {
     }
 
     // Collect per-level utilization over the quantum.
-    std::vector<uint64_t> Work(Config.NumLevels, 0);
-    std::vector<unsigned> Assigned(Config.NumLevels, 0);
+    std::fill(Work.begin(), Work.end(), 0);
+    std::fill(Assigned.begin(), Assigned.end(), 0);
     for (auto &W : Workers) {
       unsigned L = W->AssignedLevel.load();
       ++Assigned[L];
@@ -757,7 +748,6 @@ void Runtime::masterLoop() {
     }
 
     // Grant cores strictly in priority order (highest level first).
-    std::vector<unsigned> Grant(Config.NumLevels, 0);
     unsigned Remaining = Config.NumWorkers;
     for (unsigned L = Config.NumLevels; L-- > 0;) {
       auto Want = static_cast<unsigned>(Desire[L]);

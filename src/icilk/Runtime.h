@@ -35,8 +35,8 @@
 // global free lists) instead of new/deleted per spawn; each completion
 // records its latencies into the finishing worker's own histogram shards,
 // which readers merge;
-// workers that find nothing after a bounded number of full scans *park*
-// on a futex event count instead of spinning, woken by enqueue/resume;
+// a worker whose full scan finds nothing *parks* on a futex event count
+// at once (no spin phase), woken by enqueue/resume;
 // shared per-level counters each own a cache line and thieves start their
 // victim scan at a per-worker random offset.
 //
@@ -88,11 +88,6 @@ struct RuntimeConfig {
   /// the master thread, so it is active only in priority-aware multi-level
   /// runtimes. Default: 2000 quanta ≈ 1 s at the default quantum.
   unsigned WatchdogQuanta = 2000;
-  /// Full no-work scans a worker performs (with exponential backoff)
-  /// before parking on the idle event count. Low enough that a quiescent
-  /// runtime goes to sleep in well under a quantum; high enough that the
-  /// park/unpark syscalls stay off the busy-system path.
-  unsigned IdleScansBeforePark = 64;
   /// Capacity of each per-level external-injection ring. Overruns spill to
   /// an unbounded mutex-guarded overflow list (counted in snapshot()).
   /// Small values are for tests; the default never overflows in practice.
@@ -392,7 +387,8 @@ private:
     /// Affinity mailbox: a one-deep cross-worker delivery box for tasks
     /// hinted at this worker. Producers CAS nullptr→task (an occupied box
     /// is "pressure" — the hint is dropped and the task takes the shared
-    /// path); only the owning worker clears it. ParkedFlag is the Dekker
+    /// path; a parked owner is not, it went idle microseconds ago and is
+    /// woken); only the owning worker clears it. ParkedFlag is the Dekker
     /// flag for delivery-vs-park: the owner raises it (seq_cst) *before*
     /// registering on the idle event count and re-checks the mailbox; a
     /// producer that sees it raised after a successful CAS rings
@@ -444,8 +440,8 @@ private:
   /// Resolves an affinity hint to a target worker index, or -1 when the
   /// hint cannot be honored (bad index, socket with no resident worker).
   int resolveAffinityWorker(const AffinityHint &H, const Worker *Self) const;
-  /// Producer half of the mailbox protocol; false = pressure, take the
-  /// shared path instead.
+  /// Producer half of the mailbox protocol; false = pressure (the box is
+  /// occupied), take the shared path instead.
   bool tryMailboxDeliver(unsigned WorkerIdx, Task *T);
   /// Places \p T in \p W's next-task slot, displacing the lower-level of
   /// the two occupants onto the shared queues (owning worker only).

@@ -55,8 +55,8 @@ class FutureStateBase;
 /// Optional placement hint attached at fcreate: run the task near a
 /// specific worker or socket. Hints are best-effort — the scheduler
 /// honors them through the next-slot and mailbox paths when the target
-/// has room, and silently falls back to the shared queues under
-/// pressure (occupied mailbox, parked target, unknown topology). A
+/// has room (a parked target is woken), and silently falls back to the
+/// shared queues under pressure (occupied mailbox, unknown topology). A
 /// default-constructed hint means "no preference".
 struct AffinityHint {
   int16_t Worker = -1; ///< preferred worker index, -1 = none

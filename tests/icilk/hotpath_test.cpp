@@ -3,15 +3,19 @@
 // Covers the pooled/parked scheduler machinery: fiber-stack and Task slab
 // reuse under churn (including suspension churn, which is what exercises
 // TSan fiber re-creation under scripts/check.sh), idle-worker parking
-// (a quiescent runtime must not burn CPU), bounded wakeup latency after a
-// submission into a fully parked runtime, the injection-overflow path, and
-// a heap that stays flat however many tasks complete.
+// (a quiescent runtime must not burn CPU, nor a trickle-loaded one spin
+// between tasks), bounded wakeup latency after a submission into a fully
+// parked runtime, submissions that race a worker's park, the
+// injection-overflow path, and a heap that stays flat however many tasks
+// complete.
 //
 //===----------------------------------------------------------------------===//
 
 #include "icilk/Admission.h"
 #include "icilk/Context.h"
 #include "icilk/Runtime.h"
+#include "support/Random.h"
+#include "support/Timer.h"
 
 #include <gtest/gtest.h>
 
@@ -28,6 +32,20 @@ using namespace repro;
 
 ICILK_PRIORITY(Lo, icilk::BasePriority, 0);
 ICILK_PRIORITY(Hi, Lo, 1);
+
+uint64_t cpuNanos(clockid_t Clock) {
+  timespec T{};
+  clock_gettime(Clock, &T);
+  return static_cast<uint64_t>(T.tv_sec) * 1000000000ull +
+         static_cast<uint64_t>(T.tv_nsec);
+}
+
+/// Spins for \p Nanos of wall time without a syscall.
+void spinNanos(uint64_t Nanos) {
+  uint64_t End = repro::nowNanos() + Nanos;
+  while (repro::nowNanos() < End)
+    ;
+}
 
 TEST(HotPathTest, PoolReusesStacksAndTasksUnderChurn) {
   icilk::RuntimeConfig C;
@@ -99,13 +117,9 @@ TEST(HotPathTest, QuiescentRuntimeParksAllWorkersAndBurnsNoCpu) {
   // With every worker parked, process CPU over a 200 ms window must be a
   // small fraction of one core (the master still wakes per quantum, and
   // this thread sleeps). The old spinning scheduler pegged 8 cores here.
-  timespec Begin{}, End{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &Begin);
+  uint64_t Begin = cpuNanos(CLOCK_PROCESS_CPUTIME_ID);
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &End);
-  uint64_t CpuNanos =
-      static_cast<uint64_t>(End.tv_sec - Begin.tv_sec) * 1000000000ull +
-      static_cast<uint64_t>(End.tv_nsec) - static_cast<uint64_t>(Begin.tv_nsec);
+  uint64_t CpuNanos = cpuNanos(CLOCK_PROCESS_CPUTIME_ID) - Begin;
   EXPECT_LT(CpuNanos, 10'000'000u) // < 10 ms of CPU in 200 ms wall = < 5%
       << "quiescent runtime burned " << CpuNanos << " ns of CPU in 200 ms";
   EXPECT_EQ(Rt.snapshot().WorkersParked, C.NumWorkers);
@@ -115,7 +129,6 @@ TEST(HotPathTest, SubmitIntoParkedRuntimeWakesWithinBound) {
   icilk::RuntimeConfig C;
   C.NumWorkers = 2;
   C.NumLevels = 1;
-  C.IdleScansBeforePark = 4;
   icilk::Runtime Rt(C);
   for (int Lap = 0; Lap < 20; ++Lap) {
     auto Deadline =
@@ -137,6 +150,107 @@ TEST(HotPathTest, SubmitIntoParkedRuntimeWakesWithinBound) {
         << "wakeup from fully parked runtime took too long (lap " << Lap
         << ")";
   }
+}
+
+TEST(HotPathTest, TrickleLoadParksInsteadOfSpinning) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer runtimes inflate per-task CPU past any bound";
+#endif
+  // Tasks 1 ms apart leave both workers idle almost all the time. A worker
+  // that parks on its first empty scan costs the task plus a futex wake:
+  // 7-18 us of runtime CPU per task on an idle 4-vCPU Xeon, up to 28 us
+  // with four busy loops competing for its cores. One that spins and
+  // yields before parking burns 71-86 us there (61-71 us when competing).
+  icilk::RuntimeConfig C;
+  C.NumWorkers = 2;
+  C.NumLevels = 1; // no master thread: all runtime CPU is the workers'
+  icilk::Runtime Rt(C);
+  constexpr int Laps = 300;
+  uint64_t Process0 = cpuNanos(CLOCK_PROCESS_CPUTIME_ID);
+  uint64_t Self0 = cpuNanos(CLOCK_THREAD_CPUTIME_ID);
+  for (int Lap = 0; Lap < Laps; ++Lap) {
+    auto F = icilk::fcreate<Lo>(Rt, [](icilk::Context<Lo> &) { return 1; });
+    EXPECT_EQ(icilk::touchFromOutside(Rt, F), 1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  uint64_t RuntimeNanos = (cpuNanos(CLOCK_PROCESS_CPUTIME_ID) - Process0) -
+                          (cpuNanos(CLOCK_THREAD_CPUTIME_ID) - Self0);
+  double MicrosPerTask = static_cast<double>(RuntimeNanos) / 1000.0 / Laps;
+  RecordProperty("runtime_ns_per_task", static_cast<int>(RuntimeNanos / Laps));
+  EXPECT_LT(MicrosPerTask, 40.0)
+      << "idle workers burned CPU between trickled tasks";
+}
+
+/// Submissions timed to land while a worker is between its empty scan and
+/// its futex sleep, each a seeded random 0-30 us after the completion that
+/// sent that worker idle. Even laps submit from outside, 0-30 us after the
+/// previous lap ended. Odd laps submit a task P that spawns one child at a
+/// time: each spawn displaces the previous child from P's next-task slot
+/// onto its deque and notifies (the wakeup under test), and P spins until
+/// the other worker has run the displaced child. P's second displacement
+/// comes 0-30 us after the other worker finished the first child. A lost
+/// wakeup strands a lap instead of slowing it, so each lap gets 1 s.
+void raceSubmissionsAgainstThePark(unsigned Levels) {
+  using Clock = std::chrono::steady_clock;
+  std::atomic<int> Completed{0};
+  std::atomic<int> ChildrenRan{0};
+  icilk::RuntimeConfig C;
+  C.NumWorkers = 2;
+  C.NumLevels = Levels;
+  icilk::Runtime Rt(C); // after the counters: tasks never outlive them
+  repro::Rng R(0x9a4c0000 + Levels);
+  constexpr int Laps = 5000;
+  int Expected = 0;
+  for (int Lap = 0; Lap < Laps; ++Lap) {
+    spinNanos(R.nextBelow(30001));
+    auto Limit = Clock::now() + std::chrono::seconds(1);
+    if (Lap % 2 == 0) {
+      Expected += 1;
+      icilk::fcreate<Lo>(Rt, [&](icilk::Context<Lo> &) { ++Completed; });
+    } else {
+      // Every earlier task has completed, so ChildrenRan == Base here.
+      int Base = ChildrenRan.load();
+      uint64_t DelayNanos = R.nextBelow(30001);
+      Expected += 4; // P and its three children
+      icilk::fcreate<Lo>(Rt, [&, Base, DelayNanos,
+                              Limit](icilk::Context<Lo> &Ctx) {
+        auto Spawn = [&] {
+          Ctx.fcreate<Lo>([&](icilk::Context<Lo> &) {
+            ++ChildrenRan;
+            ++Completed;
+          });
+        };
+        // This worker is busy right here, so only the other one can run a
+        // displaced child.
+        auto AwaitOther = [&](int Ran) {
+          while (ChildrenRan.load() < Ran && Clock::now() < Limit)
+            ;
+        };
+        Spawn();
+        Spawn();
+        AwaitOther(Base + 1);
+        spinNanos(DelayNanos);
+        Spawn();
+        AwaitOther(Base + 2);
+        ++Completed;
+      });
+    }
+    while (Completed.load() < Expected && Clock::now() < Limit)
+      std::this_thread::yield();
+    ASSERT_EQ(Completed.load(), Expected)
+        << "lap " << Lap << " (" << Levels << " levels, "
+        << (Lap % 2 ? "displaced child" : "external submission")
+        << ") stranded for 1 s: a wakeup was lost";
+  }
+  Rt.drain();
+}
+
+TEST(HotPathTest, SubmissionsRacingTheParkAreNeverLostOneLevel) {
+  raceSubmissionsAgainstThePark(1);
+}
+
+TEST(HotPathTest, SubmissionsRacingTheParkAreNeverLostFourLevels) {
+  raceSubmissionsAgainstThePark(4);
 }
 
 TEST(HotPathTest, InjectionOverflowSpillsAndStillRunsEverything) {

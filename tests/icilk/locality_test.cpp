@@ -3,7 +3,8 @@
 // Covers the locality tentpole: the per-worker next-task slot (hit
 // counting, displacement order, the promptness guard that keeps it from
 // starving a higher level), affinity hints (honored via mailbox/next-slot
-// when the target has room, dropped under pressure), batch stealing
+// when the target has room, a parked target included; dropped under
+// pressure, an occupied mailbox), batch stealing
 // (stealHalf moving several tasks per operation), and the metrics-surface
 // plumbing for all the new counters.
 //
@@ -145,9 +146,6 @@ TEST(LocalityTest, WorkerAffinityHintLandsOnThatWorker) {
   icilk::RuntimeConfig C;
   C.NumWorkers = 2;
   C.NumLevels = 1;
-  // Keep both workers scanning: a parked target is "pressure" and would
-  // legitimately drop the hint, which is not what this test is about.
-  C.IdleScansBeforePark = 1u << 30;
   icilk::Runtime Rt(C);
   constexpr int N = 20;
   for (int I = 0; I < N; ++I) {
@@ -163,26 +161,65 @@ TEST(LocalityTest, WorkerAffinityHintLandsOnThatWorker) {
   EXPECT_EQ(Rt.snapshot().AffinityHits, static_cast<uint64_t>(N));
 }
 
-TEST(LocalityTest, AffinityHintDroppedUnderPressureStillRuns) {
-  // A parked target refuses mailbox delivery; the task must fall back to
-  // the shared queues and still complete (the hint is advice, never a
-  // correctness dependency). Same for a hint naming a nonexistent worker
-  // or an impossible socket.
+TEST(LocalityTest, ParkedTargetTakesMailboxDelivery) {
+  // Workers park on their first empty scan, so a parked target went idle
+  // moments ago: delivery goes into its mailbox and the post-CAS flag
+  // re-read wakes it, rather than the hint being dropped.
   icilk::RuntimeConfig C;
   C.NumWorkers = 2;
   C.NumLevels = 1;
-  C.IdleScansBeforePark = 1; // park almost immediately
   icilk::Runtime Rt(C);
   // Wait until both workers are parked: ParkedFlag is raised before the
   // parked count goes up, so a count of 2 implies both flags are up.
   while (Rt.snapshot().WorkersParked < 2)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-
   icilk::AffinityHint Parked;
   Parked.Worker = 1;
-  auto F1 = icilk::fcreate<Lo>(
-      Rt, [](icilk::Context<Lo> &) { return 11; }, Parked);
-  EXPECT_EQ(icilk::touchFromOutside(Rt, F1), 11);
+  auto F = icilk::fcreate<Lo>(
+      Rt, [&Rt](icilk::Context<Lo> &) { return Rt.currentWorkerIndex(); },
+      Parked);
+  // A lost wakeup strands the task in the box: fail rather than hang.
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (!F.isReady() && std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::yield();
+  ASSERT_TRUE(F.isReady()) << "the parked target was never woken";
+  EXPECT_EQ(icilk::touchFromOutside(Rt, F), 1);
+  Rt.drain();
+  EXPECT_EQ(Rt.snapshot().AffinityHits, 1u);
+}
+
+TEST(LocalityTest, AffinityHintDroppedUnderPressureStillRuns) {
+  // An occupied mailbox refuses delivery; the task must fall back to the
+  // shared queues and still complete (the hint is advice, never a
+  // correctness dependency). Same for a hint naming a nonexistent worker
+  // or an impossible socket.
+  icilk::RuntimeConfig C;
+  C.NumWorkers = 2;
+  C.NumLevels = 1;
+  icilk::Runtime Rt(C);
+  icilk::AffinityHint OnOne;
+  OnOne.Worker = 1;
+  auto WhereRun = [&Rt](icilk::Context<Lo> &) {
+    return Rt.currentWorkerIndex();
+  };
+  // Pin worker 1 on a blocker (taking it emptied the box), then fill its
+  // box: the next hint at worker 1 meets pressure.
+  std::atomic<bool> BlockerUp{false};
+  std::atomic<bool> Release{false};
+  auto Blocker = icilk::fcreate<Lo>(
+      Rt,
+      [&](icilk::Context<Lo> &) {
+        BlockerUp = true;
+        while (!Release.load())
+          ;
+        return 0;
+      },
+      OnOne);
+  while (!BlockerUp.load())
+    std::this_thread::yield();
+  auto Boxed = icilk::fcreate<Lo>(Rt, WhereRun, OnOne);
+  auto Pressured = icilk::fcreate<Lo>(Rt, WhereRun, OnOne);
+  EXPECT_EQ(icilk::touchFromOutside(Rt, Pressured), 0);
 
   icilk::AffinityHint Bad;
   Bad.Worker = 99;
@@ -195,7 +232,13 @@ TEST(LocalityTest, AffinityHintDroppedUnderPressureStillRuns) {
   auto F3 = icilk::fcreate<Lo>(
       Rt, [](icilk::Context<Lo> &) { return 33; }, NoSuchSocket);
   EXPECT_EQ(icilk::touchFromOutside(Rt, F3), 33);
+
+  Release = true;
+  icilk::touchFromOutside(Rt, Blocker);
+  EXPECT_EQ(icilk::touchFromOutside(Rt, Boxed), 1);
   Rt.drain();
+  // The blocker and the boxed task were delivered; the other three not.
+  EXPECT_EQ(Rt.snapshot().AffinityHits, 2u);
 }
 
 TEST(LocalityTest, BatchStealMovesMultipleTasksPerOperation) {
@@ -205,7 +248,6 @@ TEST(LocalityTest, BatchStealMovesMultipleTasksPerOperation) {
   icilk::RuntimeConfig C;
   C.NumWorkers = 2;
   C.NumLevels = 1;
-  C.IdleScansBeforePark = 1u << 30;
   icilk::Runtime Rt(C);
   std::atomic<bool> PileReady{false};
   std::atomic<bool> BlockerUp{false};
